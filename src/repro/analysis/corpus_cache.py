@@ -79,9 +79,9 @@ def corpus_fingerprint(
 
     Covers the catalog's observable generator inputs (processor ids,
     architectures, defect ids, defective instructions, affected cores),
-    the library's testcase ids, and any keyword run parameters (seed,
-    temperature, duration).  Two materializations with the same
-    fingerprint produce the same records.
+    the library's testcase ids and instruction mixes, and any keyword
+    run parameters (seed, temperature, duration).  Two materializations
+    with the same fingerprint produce the same records.
     """
     descriptor = {
         "parameters": {k: repr(v) for k, v in sorted(parameters.items())},
@@ -101,7 +101,10 @@ def corpus_fingerprint(
             }
             for processor in catalog.values()
         ],
-        "testcases": [testcase.testcase_id for testcase in library],
+        "testcases": [
+            [testcase.testcase_id, list(testcase.instruction_mix.items())]
+            for testcase in library
+        ],
     }
     canonical = json.dumps(
         descriptor, sort_keys=True, separators=(",", ":")

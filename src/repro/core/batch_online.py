@@ -13,8 +13,8 @@ asserted number.
 Exactness has three pillars:
 
 * **Thermal** — :class:`~repro.thermal.batch.BatchPackageThermalModel`
-  integrates each lane with the scalar model's op order (see its
-  module docstring).
+  steps each lane with the scalar model's closed-form law and op order
+  (see its module docstring).
 * **Control** — the adaptive boundary's window vote and the backoff
   controller's hold/release ladder are pure comparisons plus a handful
   of elementwise float adds, replayed with the scalar branch structure:
@@ -357,9 +357,6 @@ def simulate_online_batch(
     if obs is not None:
         obs.inc("repro_online_steps_total", steps * n, mode="batch")
         obs.inc("repro_online_sdc_total", sum(sdc_count), mode="batch")
-        obs.inc(
-            "repro_thermal_substeps_total", thermal.substeps, mode="batch"
-        )
         if protected:
             obs.inc(
                 "repro_online_backoff_engagements_total",

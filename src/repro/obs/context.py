@@ -209,8 +209,6 @@ _HELP = {
         "Simulated duration of Farron test rounds, by kind.",
     "repro_farron_windows_total":
         "Scheduled test windows in Farron regular plans.",
-    "repro_thermal_substeps_total":
-        "Batch thermal-model integration substeps, by mode.",
     "repro_rss_bytes":
         "Resident set size of this process at last sample, in bytes.",
     "repro_peak_rss_bytes":

@@ -432,11 +432,6 @@ class BatchScreeningEngine:
                 mode="batch",
             )
             self.obs.inc(
-                "repro_toolchain_screen_substeps_total",
-                self.thermal.substeps,
-                mode="batch",
-            )
-            self.obs.inc(
                 "repro_toolchain_screen_errors_total",
                 sum(report.error_count for report in reports),
                 mode="batch",

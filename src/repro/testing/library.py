@@ -231,11 +231,14 @@ def build_library(seed: int = 633, isa: ISA = DEFAULT_ISA) -> TestcaseLibrary:
         while remaining[feature] > 0:
             own = by_primary[feature]
             count = min(len(all_mnemonics), int(rng.integers(6, 10)))
-            chosen = set(
+            # Draw order, not set order: a set of strings iterates in
+            # PYTHONHASHSEED-dependent order, which would leak into the
+            # mix order and the heat_factor float sum.
+            chosen = dict.fromkeys(
                 rng.choice(all_mnemonics, size=count, replace=False)
             )
             if own:
-                chosen.add(own[int(rng.integers(len(own)))])
+                chosen[own[int(rng.integers(len(own)))]] = None
             mix = {}
             share = 0.6 / len(chosen)
             for mnemonic in chosen:

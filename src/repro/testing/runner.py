@@ -348,8 +348,9 @@ class ToolchainRunner:
             self.thermal.step(step, loads)
             elapsed += step
             time_s = self.thermal.elapsed_s
+            temps = self.thermal.core_temps()
             for pcore_id, settings in core_settings:
-                temp = self.thermal.core_temp(pcore_id)
+                temp = temps[pcore_id]
                 if temp > run.max_core_temp_c:
                     run.max_core_temp_c = temp
                 for compiled, defect, mnemonic in settings:

@@ -1,4 +1,4 @@
-"""Struct-of-arrays batch integration of the lumped-RC thermal model.
+"""Struct-of-arrays batch stepping of the lumped-RC thermal model.
 
 :class:`BatchPackageThermalModel` steps *N* independent package models
 at once with NumPy array ops, **bit-identical per lane** to stepping
@@ -13,16 +13,15 @@ floating-point operation must happen in the same order per lane:
   operations the scalar model performs, so per-lane sequences of
   elementwise updates match bit for bit;
 * the package power sum accumulates **core by core along axis 1**
-  (``total = total + powers[:, i]``), reproducing the scalar
-  ``sum(powers)`` left-to-right addition order — a pairwise
+  (``np.add.accumulate``, a strictly sequential chain), reproducing the
+  scalar ``sum(powers)`` left-to-right addition order — a pairwise
   ``np.sum(axis=1)`` would round differently;
-* lanes with fewer cores than the widest lane are zero-padded; padded
-  powers and deltas stay exactly ``0.0`` (their ODE is ``dD = (0 -
-  0/R)/C = 0``) and ``x + 0.0 == x`` for the non-negative power sums,
-  so padding never perturbs a lane;
-* the substep schedule (``min(c_core * r_core, 2.0)`` chunks of the
-  requested ``dt_s``) is identical for every lane because it depends
-  only on the shared :class:`~repro.thermal.model.ThermalParams`.
+* decay factors come from the scalar model's libm
+  :func:`~repro.thermal.model.decay_factor`, one call per distinct
+  step length, never from ``np.exp``;
+* lanes with fewer cores than the widest lane are zero-padded; a padded
+  core's equilibrium is ``0.0 * R = 0.0`` and its delta stays exactly
+  ``0.0``, so padding never perturbs a lane.
 """
 
 from __future__ import annotations
@@ -33,7 +32,7 @@ import numpy as np
 
 from ..cpu.processor import MicroArchitecture
 from ..errors import ConfigurationError
-from .model import ThermalParams
+from .model import ThermalParams, decay_factor
 
 __all__ = ["BatchPackageThermalModel"]
 
@@ -85,11 +84,11 @@ class BatchPackageThermalModel:
         self.t_package = np.full(self.n_lanes, idle_equilibrium)
         self.deltas = np.zeros((self.n_lanes, self.max_cores))
         self.elapsed_s = 0.0
-        #: Integration substeps executed so far (all lanes advance
-        #: together, so this counts wall work, not lane-substeps).
-        #: Telemetry reads it after a run — the hot loop itself never
-        #: touches an Observability object.
-        self.substeps = 0
+        # step_lanewise scratch, reused by every call.
+        self._lane_scratch = (
+            *np.empty((3, self.n_lanes)), np.empty(self.n_lanes, dtype=bool)
+        )
+        self._core_scratch = np.empty((2, *self.deltas.shape))
 
     def core_powers(
         self, utilization: np.ndarray, heat_factor: np.ndarray
@@ -121,36 +120,29 @@ class BatchPackageThermalModel:
         plan entries) may compute it once and pass it back into
         :meth:`step_lanewise` unchanged.
         """
-        total_power = np.zeros(self.n_lanes)
-        for core in range(self.max_cores):
-            total_power = total_power + powers[:, core]
+        total_power = np.add.accumulate(powers, axis=1)[:, -1]
         return self.params.idle_power_w + total_power
+
+    def _tau_package(self) -> float:
+        params = self.params
+        return params.r_package * self.cooling_factor * params.c_package
 
     def step(self, dt_s: float, powers: np.ndarray) -> None:
         """Advance every lane ``dt_s`` seconds under ``powers`` watts.
 
         ``powers`` is [n_lanes, max_cores] with padded columns equal to
-        0.0 (see :meth:`core_powers`).  The substep loop, the
-        core-by-core power accumulation, and the two Euler updates are
-        the scalar model's, evaluated lane-parallel.
+        0.0 (see :meth:`core_powers`).
         """
         if dt_s <= 0:
             raise ConfigurationError("dt_s must be positive")
         params = self.params
-        r_eff = params.r_package * self.cooling_factor
-        total_power = self.total_power_rows(powers)
-        remaining = dt_s
-        max_substep = min(params.c_core * params.r_core, 2.0)
-        while remaining > 1e-12:
-            h = min(remaining, max_substep)
-            dT = (
-                total_power - (self.t_package - params.ambient_c) / r_eff
-            ) / params.c_package
-            self.t_package = self.t_package + dT * h
-            dD = (powers - self.deltas / params.r_core) / params.c_core
-            self.deltas = self.deltas + dD * h
-            remaining -= h
-            self.substeps += 1
+        t_eq = self.total_power_rows(powers) * params.r_package
+        t_eq = params.ambient_c + t_eq * self.cooling_factor
+        decay = decay_factor(dt_s, self._tau_package())
+        self.t_package = t_eq + (self.t_package - t_eq) * decay
+        d_eq = powers * params.r_core
+        decay = decay_factor(dt_s, params.r_core * params.c_core)
+        self.deltas = d_eq + (self.deltas - d_eq) * decay
         self.elapsed_s += dt_s
 
     def step_lanewise(
@@ -163,13 +155,10 @@ class BatchPackageThermalModel:
 
         The toolchain screening engine runs heterogeneous plans in
         lockstep: lanes mid-entry request their own window lengths, and
-        finished lanes request 0.0 and must not move.  Per lane the
-        substep schedule is exactly the scalar model's — the same
-        ``min(remaining, max_substep)`` chunks in the same order —
-        realized lane-parallel by zeroing the finished lanes'
-        ``h``: ``x + dX * 0.0 == x`` exactly for the finite thermal
-        states, so an idle lane's Euler update is the identity while
-        the others keep integrating.
+        finished lanes request 0.0 and must not move.  Each moving lane
+        takes the scalar model's one closed-form step with the decay
+        factors of its own ``dt``.  Zero-``dt`` lanes are masked out:
+        ``eq + (x - eq) * 1.0`` need not round back to ``x``.
 
         ``total_power``, when given, must equal
         ``total_power_rows(powers)`` — a cache the screening engine
@@ -182,32 +171,33 @@ class BatchPackageThermalModel:
         """
         if np.any(dt_lanes < 0.0):
             raise ConfigurationError("dt_lanes must be non-negative")
-        params = self.params
-        r_eff = params.r_package * self.cooling_factor
         if total_power is None:
             total_power = self.total_power_rows(powers)
-        remaining = np.array(dt_lanes, dtype=float)
-        max_substep = min(params.c_core * params.r_core, 2.0)
-        active = remaining > 1e-12
-        # One scratch buffer instead of four temporaries per substep.
-        # Every np.* call below performs the same IEEE-754 operation in
-        # the same order as the allocating expressions it replaces —
-        # `out=` changes where results land, not what they are.
-        scratch = np.empty_like(self.deltas)
-        while active.any():
-            h = np.where(active, np.minimum(remaining, max_substep), 0.0)
-            dT = (
-                total_power - (self.t_package - params.ambient_c) / r_eff
-            ) / params.c_package
-            self.t_package = self.t_package + dT * h
-            np.divide(self.deltas, params.r_core, out=scratch)
-            np.subtract(powers, scratch, out=scratch)
-            np.divide(scratch, params.c_core, out=scratch)
-            np.multiply(scratch, h[:, None], out=scratch)
-            self.deltas += scratch
-            remaining = remaining - h
-            active = remaining > 1e-12
-            self.substeps += 1
+        params = self.params
+        tau_pkg = self._tau_package()
+        tau_core = params.r_core * params.c_core
+        decay_pkg, decay_core, t_eq, mask = self._lane_scratch
+        for dt in np.unique(dt_lanes).tolist():
+            np.equal(dt_lanes, dt, out=mask)
+            np.copyto(decay_pkg, decay_factor(dt, tau_pkg), where=mask)
+            np.copyto(decay_core, decay_factor(dt, tau_core), where=mask)
+        moving = np.greater(dt_lanes, 0.0, out=mask)
+        # The scalar `eq + (x - eq) * decay` as in-place ops (IEEE
+        # addition commutes exactly); `where=` leaves the zero-dt lanes
+        # untouched.  Package equilibrium: `ambient + total * R * cf`.
+        np.multiply(total_power, params.r_package, out=t_eq)
+        t_eq *= self.cooling_factor
+        t_eq += params.ambient_c
+        x = self.t_package
+        np.subtract(x, t_eq, out=x, where=moving)
+        np.multiply(x, decay_pkg, out=x, where=moving)
+        np.add(x, t_eq, out=x, where=moving)
+        d_eq, core = self._core_scratch
+        np.multiply(powers, params.r_core, out=d_eq)
+        np.subtract(self.deltas, d_eq, out=core)
+        core *= decay_core[:, None]
+        core += d_eq
+        np.copyto(self.deltas, core, where=moving[:, None])
 
     # -- readouts -----------------------------------------------------------
 

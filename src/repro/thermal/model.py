@@ -19,6 +19,11 @@ core adds a fast local delta through ``r_core``::
     C_core * dDelta_i/dt = P_i - Delta_i / R_core
     T_core_i             = T_pkg + Delta_i
 
+Under one step's constant power each level relaxes exactly, ``x_eq +
+(x - x_eq) * exp(-dt / (R * C))``, so a step of any length is one
+closed-form update; its libm decay factors (:func:`decay_factor`) are
+shared with the batch model.
+
 Defaults are tuned so an idle package sits near the paper's ~45 °C idle
 temperature and a fully-loaded one reaches the high-70s, with single
 hot cores pushing beyond 80 °C.
@@ -26,13 +31,22 @@ hot cores pushing beyond 80 °C.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from functools import lru_cache
+from typing import Dict, List, Optional
 
 from ..errors import ConfigurationError
 from ..cpu.processor import MicroArchitecture
 
-__all__ = ["ThermalParams", "PackageThermalModel"]
+__all__ = ["ThermalParams", "PackageThermalModel", "decay_factor"]
+
+
+@lru_cache(maxsize=256)
+def decay_factor(dt_s: float, tau_s: float) -> float:
+    """libm ``exp(-dt_s / tau_s)``, the one decay source of the scalar and
+    batch models (``np.exp`` can round differently)."""
+    return math.exp(-dt_s / tau_s)
 
 
 @dataclass(frozen=True)
@@ -75,6 +89,7 @@ class PackageThermalModel:
         self._t_package = self.equilibrium_package_temp(0.0)
         self._deltas: List[float] = [0.0] * self.arch.physical_cores
         self._elapsed_s = 0.0
+        self._loads: Optional[Dict[int, tuple]] = None  # step()'s power memo
 
     # -- power --------------------------------------------------------------
 
@@ -115,38 +130,35 @@ class PackageThermalModel:
         dt_s: float,
         core_loads: Optional[Dict[int, tuple]] = None,
     ) -> None:
-        """Advance the model ``dt_s`` seconds.
+        """Advance the model ``dt_s`` seconds in one exact step.
 
         ``core_loads`` maps physical-core id to ``(utilization,
-        heat_factor)``; unlisted cores are idle.  Large ``dt_s`` values
-        are internally substepped for stability.
+        heat_factor)``; unlisted cores are idle.
         """
         if dt_s <= 0:
             raise ConfigurationError("dt_s must be positive")
         loads = core_loads or {}
-        for core_id in loads:
-            if not 0 <= core_id < self.arch.physical_cores:
-                raise ConfigurationError(f"core {core_id} out of range")
-        powers = [0.0] * self.arch.physical_cores
-        for core_id, (utilization, heat_factor) in loads.items():
-            powers[core_id] = self._core_power(utilization, heat_factor)
-
-        remaining = dt_s
-        max_substep = min(self.params.c_core * self.params.r_core, 2.0)
-        while remaining > 1e-12:
-            h = min(remaining, max_substep)
-            total_power = self.params.idle_power_w + sum(powers)
-            r_eff = self.params.r_package * self.cooling_factor
-            dT = (
-                total_power - (self._t_package - self.params.ambient_c) / r_eff
-            ) / self.params.c_package
-            self._t_package += dT * h
-            for i in range(self.arch.physical_cores):
-                dD = (powers[i] - self._deltas[i] / self.params.r_core) / (
-                    self.params.c_core
-                )
-                self._deltas[i] += dD * h
-            remaining -= h
+        if loads != self._loads:
+            for core_id in loads:
+                if not 0 <= core_id < self.arch.physical_cores:
+                    raise ConfigurationError(f"core {core_id} out of range")
+            powers = [0.0] * self.arch.physical_cores
+            for core_id, (utilization, heat_factor) in loads.items():
+                powers[core_id] = self._core_power(utilization, heat_factor)
+            self._dynamic_power = sum(powers)
+            self._delta_eqs = [power * self.params.r_core for power in powers]
+            self._loads = dict(loads)
+        params = self.params
+        t_eq = self.equilibrium_package_temp(self._dynamic_power)
+        decay = decay_factor(
+            dt_s, params.r_package * self.cooling_factor * params.c_package
+        )
+        self._t_package = t_eq + (self._t_package - t_eq) * decay
+        decay = decay_factor(dt_s, params.r_core * params.c_core)
+        self._deltas = [
+            d_eq + (delta - d_eq) * decay
+            for d_eq, delta in zip(self._delta_eqs, self._deltas)
+        ]
         self._elapsed_s += dt_s
 
     def run_to_equilibrium(
@@ -177,10 +189,6 @@ class PackageThermalModel:
 
     def core_temps(self) -> List[float]:
         return [self._t_package + d for d in self._deltas]
-
-    def hottest_core(self) -> int:
-        temps = self.core_temps()
-        return max(range(len(temps)), key=temps.__getitem__)
 
     # -- control ---------------------------------------------------------------
 

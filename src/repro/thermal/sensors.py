@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, List, Optional, Tuple
+from typing import Deque, List, Optional
 
 from ..errors import ConfigurationError
 from .model import PackageThermalModel
@@ -57,10 +57,6 @@ class TemperatureMonitor:
         return list(self._samples)
 
     @property
-    def temperatures(self) -> List[float]:
-        return [s.temperature_c for s in self._samples]
-
-    @property
     def latest(self) -> Optional[TemperatureSample]:
         return self._samples[-1] if self._samples else None
 
@@ -75,6 +71,3 @@ class TemperatureMonitor:
             return 0.0
         above = sum(1 for s in self._samples if s.temperature_c > threshold_c)
         return above / len(self._samples)
-
-    def clear(self) -> None:
-        self._samples.clear()

@@ -6,6 +6,8 @@ same integers, same doubles, same dict shapes — on corpora covering
 every dtype (including 80-bit float64x) and on degenerate inputs.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -462,3 +464,11 @@ def test_corpus_fingerprint_sensitivity(catalog, library):
     assert base != corpus_fingerprint(small, library, temperature_c=80.0)
     smaller = dict(list(catalog.items())[:1])
     assert base != corpus_fingerprint(smaller, library, temperature_c=78.0)
+    # Mix order sets the normalization's float sum, so it is content.
+    first = library.testcases[0]
+    reordered = dataclasses.replace(
+        first,
+        instruction_mix=dict(reversed(list(first.instruction_mix.items()))),
+    )
+    remixed = type(library)([reordered, *library.testcases[1:]])
+    assert base != corpus_fingerprint(small, remixed, temperature_c=78.0)

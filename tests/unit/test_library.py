@@ -1,5 +1,11 @@
 """Unit tests for testcases and the 633-testcase library."""
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.cpu import DEFAULT_ISA, Feature
@@ -149,3 +155,30 @@ class TestLibrary:
         assert users
         for testcase in users:
             assert testcase.uses_instruction("FATAN_F64X")
+
+
+_LIBRARY_DIGEST = """
+import json
+from repro.testing import build_library
+print(json.dumps([
+    [tc.testcase_id, list(tc.instruction_mix.items()), tc.heat_factor()]
+    for tc in build_library()
+]))
+"""
+
+
+def test_library_independent_of_hash_seed():
+    """Mixes and heat factors must not follow PYTHONHASHSEED."""
+    src = str(Path(__file__).resolve().parents[2] / "src")
+    outputs = []
+    for hash_seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, (src, env.get("PYTHONPATH")))
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", _LIBRARY_DIGEST],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        outputs.append(json.loads(result.stdout))
+    assert outputs[0] == outputs[1]

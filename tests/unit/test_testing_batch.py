@@ -20,7 +20,7 @@ from repro.core import (
     coverage_experiment_group,
     coverage_sweep,
 )
-from repro.cpu import catalog_processor
+from repro.cpu import ARCHITECTURES, catalog_processor
 from repro.errors import ConfigurationError
 from repro.obs import Observability
 from repro.testing import (
@@ -379,22 +379,29 @@ class TestManyWrappers:
 class TestLanewiseThermal:
     def test_step_lanewise_matches_scalar_models(self):
         """Heterogeneous dt schedules, lane by lane, bit-exact."""
-        archs = [
-            catalog_processor("MIX1").arch,
-            catalog_processor("COMP1").arch,
-        ]
+        archs = [ARCHITECTURES[name] for name in ("M1", "M2", "M4", "M9")]
         batch = BatchPackageThermalModel(archs)
         scalars = [PackageThermalModel(arch) for arch in archs]
+        # The short warm-up leaves deltas far below the next entry's
+        # equilibria, where `eq + (x - eq) * 1.0` does not round back
+        # to `x`, so zero-dt lanes need their mask.  4.25 s, 2.1 s,
+        # 0.9 s and 6.0 s are lengths where NumPy's exp and libm round
+        # differently, so the decay factors must come from libm.
         schedule = [
-            (10.0, 10.0, 1.2),
-            (10.0, 0.0, 0.9),
-            (4.5, 10.0, 1.5),
-            (2.0, 7.5, 0.4),
+            ([0.3, 0.3, 0.3, 0.3], 0.4),
+            ([10.0, 0.0, 4.25, 0.0], 1.6),
+            ([10.0, 10.0, 10.0, 10.0], 1.3),
+            ([0.0, 7.5, 10.0, 2.1], 1.6),
+            ([0.9, 6.0, 0.0, 600.0], 1.1),
+            ([0.0, 0.0, 0.0, 0.0], 1.6),
         ]
-        for dt0, dt1, heat in schedule:
-            powers = batch.core_powers(np.ones(2), np.full(2, heat))
-            batch.step_lanewise(np.array([dt0, dt1]), powers)
-            for scalar, dt, arch in zip(scalars, (dt0, dt1), archs):
+        for dts, heat in schedule:
+            powers = batch.core_powers(np.ones(4), np.full(4, heat))
+            before = batch.lane_states()
+            batch.step_lanewise(np.array(dts), powers)
+            for lane, (scalar, dt, arch) in enumerate(
+                zip(scalars, dts, archs)
+            ):
                 if dt > 0.0:
                     scalar.step(
                         dt,
@@ -403,10 +410,14 @@ class TestLanewiseThermal:
                             for core in range(arch.physical_cores)
                         },
                     )
+                else:
+                    assert batch.lane_states()[lane] == before[lane]
             for lane, scalar in enumerate(scalars):
                 t_package, deltas = batch.lane_states()[lane]
                 assert t_package == scalar._t_package
                 assert deltas == scalar._deltas
+                padded = batch.deltas[lane, len(deltas):]
+                assert padded.tolist() == [0.0] * padded.size
 
     def test_total_power_rows_cache_is_pure(self):
         archs = [catalog_processor("MIX1").arch]

@@ -94,6 +94,75 @@ class TestDynamics:
         assert model.elapsed_s == 0.0
 
 
+class TestClosedFormLaw:
+    def test_long_step_converges_to_equilibrium(self, model):
+        model.step(10_000.0, {0: (1.0, 1.0)})
+        target = model.equilibrium_core_temp(1.0, 1.0)
+        assert model.core_temp(0) == pytest.approx(target, abs=1e-9)
+
+    def test_steps_compose(self):
+        arch = ARCHITECTURES["M2"]
+        loads = {c: (0.7, 1.3) for c in range(0, 16, 3)}
+        split, whole = PackageThermalModel(arch), PackageThermalModel(arch)
+        split.step(3.7, loads)
+        split.step(6.1, loads)
+        whole.step(3.7 + 6.1, loads)
+        assert split.package_temp == pytest.approx(
+            whole.package_temp, abs=1e-9
+        )
+        for a, b in zip(split.core_temps(), whole.core_temps()):
+            assert a == pytest.approx(b, abs=1e-9)
+
+    def test_step_far_above_tau_neither_overshoots_nor_oscillates(
+        self, model
+    ):
+        # Explicit Euler with dt > 2*tau would flip sign around the
+        # equilibrium; the exact law only ever relaxes toward it.
+        model.step(600.0, {c: (1.0, 1.5) for c in range(16)})
+        idle = model.equilibrium_package_temp(0.0)
+        previous = model.package_temp
+        for _ in range(5):
+            model.step(50_000.0, {})
+            assert idle <= model.package_temp <= previous
+            assert all(d == 0.0 for d in model._deltas)
+            previous = model.package_temp
+        assert model.package_temp == pytest.approx(idle, abs=1e-9)
+
+    def test_power_memo_skips_unchanged_loads(self, model, monkeypatch):
+        calls = []
+        real = model._core_power
+
+        def counting(utilization, heat_factor):
+            calls.append(utilization)
+            return real(utilization, heat_factor)
+
+        monkeypatch.setattr(model, "_core_power", counting)
+        loads = {c: (1.0, 1.2) for c in range(4)}
+        for _ in range(10):
+            model.step(10.0, loads)
+        model.step(10.0, dict(loads))
+        assert len(calls) == 4
+        model.step(10.0, {0: (0.5, 1.2)})
+        assert len(calls) == 5
+
+    def test_power_memo_still_validates_changed_loads(self, model):
+        reference = PackageThermalModel(ARCHITECTURES["M2"])
+        good = {0: (1.0, 1.2)}
+        model.step(10.0, good)
+        reference.step(10.0, good)
+        with pytest.raises(ConfigurationError):
+            model.step(10.0, {99: (1.0, 1.0)})
+        with pytest.raises(ConfigurationError):
+            model.step(10.0, {0: (1.5, 1.0)})
+        with pytest.raises(ConfigurationError):
+            model.step(10.0, {0: (1.0, -1.0)})
+        # A rejected load leaves neither state nor memo behind.
+        model.step(10.0, good)
+        reference.step(10.0, good)
+        assert model.package_temp == reference.package_temp
+        assert model.core_temps() == reference.core_temps()
+
+
 class TestCooling:
     def test_stronger_cooling_lowers_equilibrium(self, model):
         hot = model.equilibrium_core_temp(1.0, 1.0)
