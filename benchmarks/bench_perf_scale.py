@@ -4,21 +4,17 @@ Proves the paper-scale claim of the out-of-core substrate end-to-end:
 
 1. **Parity** — a reference fleet (default 100k CPUs) is campaigned
    twice, once fully in memory through ``VectorizedTestPipeline`` over
-   ``generate_fleet`` and once streamed through ``ParallelTestPipeline``
-   over a windowed ``FrameFleetPopulation``; detections, undetected
-   ids, and the finishing stream position must be bit-identical.
+   ``generate_fleet`` and once streamed shard by shard through
+   ``ResilientCampaign`` (vectorized engine) over a windowed
+   ``FrameFleetPopulation``; detections, undetected ids, and the
+   finishing stream position must be bit-identical.
 2. **Scale** — a 1,000,000-CPU fleet is generated chunk-by-chunk
    (never materializing Processor objects for the whole population),
-   campaigned through the parallel engine over zero-copy shared-memory
-   slices, and analysed through the columnar ``DetectionFrame`` spilled
-   to a CRC-checked on-disk column store and memory-mapped back.  Peak
-   RSS over the whole run must stay under ``--max-peak-rss-mb``
-   (default 512 MB — the stated bound enforced in CI).
-3. **Scaling** — the streamed campaign is timed at 1/2/4 workers so
-   ``BENCH_scale.json`` carries a worker-scaling datapoint; the numbers
-   are recorded honestly together with the machine's effective core
-   count (gating near-linear scaling only makes sense at >= 4 cores and
-   lives in ``bench_perf_fleet.py`` / CI).
+   streamed through the same campaign, and analysed through the
+   columnar ``DetectionFrame`` spilled to a CRC-checked on-disk column
+   store and memory-mapped back.  Peak RSS over the whole run must stay
+   under ``--max-peak-rss-mb`` (default 512 MB — the stated bound
+   enforced in CI).
 
 Results land in ``BENCH_scale.json`` at the repository root.
 
@@ -45,7 +41,6 @@ from repro.analysis import DetectionFrame
 from repro.faults.trigger import TriggerModel
 from repro.fleet import (
     FleetSpec,
-    ParallelTestPipeline,
     VectorizedTestPipeline,
     generate_fleet,
     generate_fleet_frame,
@@ -53,6 +48,7 @@ from repro.fleet import (
 )
 from repro.obs import Observability, logging_setup, record_memory
 from repro.perf.parallel import default_workers
+from repro.resilience import ResilientCampaign
 from repro.testing import build_library
 
 logger = logging.getLogger("repro.bench.perf_scale")
@@ -68,19 +64,17 @@ def _detection_key(detection):
     )
 
 
-def _run_streamed(spec, library, *, window, workers, seed, obs=None):
-    """Streamed campaign: chunked generation -> shared-memory parallel
-    pipeline over a lazily materializing frame population."""
+def _run_streamed(spec, library, *, window, seed, obs=None):
+    """Streamed campaign: chunked generation -> a sharded vectorized
+    campaign over a lazily materializing frame population."""
     frame_population = generate_fleet_frame(
         spec, chunk_size=window, window=window, obs=obs
     )
-    with ParallelTestPipeline(
-        frame_population, library, trigger_model=TriggerModel(),
-        seed=seed, workers=workers,
-    ) as engine:
-        result = engine.run()
-        position = engine._scalar._stream.consumed
-    return frame_population, result, position
+    campaign = ResilientCampaign(
+        frame_population, library, seed=seed, shard_size=min(256, window)
+    )
+    result = campaign.run()
+    return frame_population, result, campaign._stream.consumed
 
 
 def _check_reference_parity(args, library) -> dict:
@@ -99,7 +93,6 @@ def _check_reference_parity(args, library) -> dict:
     _, streamed, streamed_position = _run_streamed(
         spec, library,
         window=args.max_resident_cpus,
-        workers=args.workers,
         seed=args.seed,
     )
     ref_keys = [_detection_key(d) for d in reference.detections]
@@ -130,7 +123,6 @@ def _run_scale(args, library, obs) -> dict:
     population, result, _ = _run_streamed(
         spec, library,
         window=args.max_resident_cpus,
-        workers=args.workers,
         seed=args.seed,
         obs=obs,
     )
@@ -172,47 +164,19 @@ def _run_scale(args, library, obs) -> dict:
     return report
 
 
-def _scaling_datapoints(args, library) -> list:
-    spec = FleetSpec(
-        total_processors=args.processors,
-        failure_rate_scale=args.scale,
-        seed=args.fleet_seed,
-    )
-    points = []
-    for workers in (1, 2, 4):
-        start = time.perf_counter()
-        _run_streamed(
-            spec, library,
-            window=args.max_resident_cpus,
-            workers=workers,
-            seed=args.seed,
-        )
-        points.append({
-            "workers": workers,
-            "seconds": round(time.perf_counter() - start, 4),
-        })
-    base_s = points[0]["seconds"]
-    for point in points:
-        point["speedup"] = round(base_s / point["seconds"], 2)
-    return points
-
-
 def run(args: argparse.Namespace) -> dict:
     library = build_library()
     obs = Observability.in_memory()
 
     reference = _check_reference_parity(args, library)
     scale = _run_scale(args, library, obs)
-    scaling = _scaling_datapoints(args, library)
 
     return {
         "benchmark": "bench_perf_scale",
         "fleet_seed": args.fleet_seed,
         "pipeline_seed": args.seed,
-        "workers": args.workers,
         "reference": reference,
         "scale": scale,
-        "scaling_curve": scaling,
         "environment": {
             "python": platform.python_version(),
             "numpy": np.__version__,
@@ -240,10 +204,6 @@ def main(argv=None) -> int:
         help="streamed chunk size and lazy-materialization window",
     )
     parser.add_argument(
-        "--workers", type=int, default=2,
-        help="parallel engine worker count for the main scale run",
-    )
-    parser.add_argument(
         "--max-peak-rss-mb", type=float, default=512.0,
         help="fail if peak RSS over the whole benchmark exceeds this",
     )
@@ -269,11 +229,6 @@ def main(argv=None) -> int:
         f"peak RSS {scale['peak_rss_mb']:.1f} MB "
         f"(bound {scale['max_peak_rss_mb']:.0f} MB)"
     )
-    curve = " ".join(
-        f"x{p['workers']}={p['seconds']:.2f}s({p['speedup']:.2f}x)"
-        for p in report["scaling_curve"]
-    )
-    print(f"scaling curve: {curve}")
     logger.info("wrote %s", args.out)
     if scale["peak_rss_mb"] > args.max_peak_rss_mb:
         logger.error(

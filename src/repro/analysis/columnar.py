@@ -259,12 +259,6 @@ class RecordFrame:
     def rows_for_dtype(self, dtype: DataType) -> np.ndarray:
         return np.flatnonzero(self.dtype_code == _DTYPE_CODE[dtype])
 
-    def masks_as_ints(self, rows: np.ndarray) -> List[int]:
-        """Python-int masks for selected rows (hi << 64 | lo)."""
-        lo = self.mask_lo[rows]
-        hi = self.mask_hi[rows]
-        return [(int(h) << 64) | int(l) for h, l in zip(hi, lo)]
-
 
 # -- Figure 4/5 histograms -----------------------------------------------------
 

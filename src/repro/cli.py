@@ -88,15 +88,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     fleet.add_argument("--seed", type=int, default=1)
     fleet.add_argument(
-        "--engine", choices=("scalar", "vectorized", "parallel"),
+        "--engine", choices=("scalar", "vectorized"),
         default="vectorized",
-        help="campaign engine; all three are bit-identical (vectorized is "
-             "~100x scalar, parallel shards it over --workers processes)",
-    )
-    fleet.add_argument(
-        "--workers", type=int, default=None,
-        help="worker processes for --engine parallel "
-             "(default: usable CPUs per scheduler affinity)",
+        help="campaign engine; both are bit-identical (vectorized is "
+             "~100x scalar)",
     )
     fleet.add_argument(
         "--checkpoint-dir", default=None,
@@ -176,11 +171,6 @@ def build_parser() -> argparse.ArgumentParser:
         "checkpoint_dir",
         help="directory previously passed to fleet-study --checkpoint-dir",
     )
-    resume.add_argument(
-        "--workers", type=int, default=None,
-        help="worker processes when the checkpointed engine is parallel "
-             "(default: usable CPUs per scheduler affinity)",
-    )
 
     serve = sub.add_parser(
         "serve", parents=[obs],
@@ -220,19 +210,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--core-budget", type=int, default=None, metavar="N",
-        help="cores the daemon may spend across all active jobs; heavy "
-             "jobs fan shards out to a process pool within this budget "
-             "(default: usable CPUs per scheduler affinity)",
-    )
-    serve.add_argument(
-        "--job-workers", type=int, default=None, metavar="N",
-        help="per-job worker-process cap inside the core budget "
-             "(default: the whole budget)",
-    )
-    serve.add_argument(
-        "--parallel-granule", type=int, default=64, metavar="CPUS",
-        help="remaining faulty CPUs that justify one more worker; jobs "
-             "below one granule stay in-process vectorized (default 64)",
+        help="deprecated and ignored: every job runs in-process on the "
+             "engine its spec names",
     )
     serve.add_argument(
         "--retain-verdicts", default=None, metavar="N|AGE",
@@ -369,7 +348,6 @@ def _cmd_fleet_study(args, obs=None) -> int:
         spec, build_library(),
         checkpoint_store=store,
         checkpoint_every=args.checkpoint_every,
-        workers=args.workers,
         obs=obs,
     )
     with campaign:
@@ -415,7 +393,7 @@ def _cmd_resume(args, obs=None) -> int:
     store = CheckpointStore(args.checkpoint_dir)
     try:
         campaign = ResilientCampaign.resume(
-            store, build_library(), workers=args.workers, obs=obs
+            store, build_library(), obs=obs
         )
     except ReproError as error:
         logger.error("error: %s", error)
@@ -558,6 +536,11 @@ def _cmd_serve(args, obs=None) -> int:
 
     from .service import ReproService, ServiceChaos
 
+    if args.core_budget is not None:
+        logger.warning(
+            "warning: --core-budget is deprecated and has no effect; "
+            "jobs run in-process"
+        )
     service = ReproService(
         args.state_dir,
         host=args.host,
@@ -568,9 +551,6 @@ def _cmd_serve(args, obs=None) -> int:
         max_active=args.max_active,
         checkpoint_every=args.checkpoint_every,
         job_timeout_s=args.job_timeout,
-        core_budget=args.core_budget,
-        job_workers=args.job_workers,
-        parallel_granule=args.parallel_granule,
         retain_verdicts=args.retain_verdicts,
         scrape_interval_s=args.scrape_interval,
         rss_limit_bytes=(
@@ -644,8 +624,6 @@ def _fmt_bytes(value: float) -> str:
 _TOP_GAUGES = (
     ("repro_service_active_jobs", "active jobs", None),
     ("repro_service_queue_depth", "queue depth", None),
-    ("repro_service_cores_leased", "cores leased", None),
-    ("repro_service_core_budget", "core budget", None),
     ("repro_sdc_detection_ratio", "SDC detection ratio", None),
     ("repro_rss_bytes", "coordinator RSS", _fmt_bytes),
     ("repro_peak_rss_bytes", "peak RSS", _fmt_bytes),

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 import struct
-from typing import Iterable, List, Optional
+from typing import List, Optional
 
 from ..errors import DataTypeError
 from .features import DataType
@@ -273,12 +273,3 @@ def random_values(rng, dtype: DataType, count: int) -> List:
         draws = rng.random(count)
         return [int(10.0 ** (max_exponent * u)) for u in draws]
     return [int(v) for v in rng.integers(0, 1 << min(width, 63), size=count)]
-
-
-def values_to_masks(
-    pairs: Iterable[tuple], dtype: DataType
-) -> List[int]:
-    """Convenience: XOR masks for (expected, actual) value pairs."""
-    return [
-        xor_mask(encode(exp, dtype), encode(act, dtype)) for exp, act in pairs
-    ]

@@ -44,13 +44,6 @@ class CampaignResult:
     #: visible, i.e. *not* silent.
     non_finite: int = 0
 
-    @property
-    def silent_fraction(self) -> float:
-        """Share of corrupted runs that stayed finite (truly silent)."""
-        if not self.injections:
-            return 0.0
-        return len(self.relative_errors) / self.injections
-
     def median_error(self) -> float:
         if not self.relative_errors:
             return 0.0

@@ -139,10 +139,6 @@ class FleetFrame:
     def __len__(self) -> int:
         return len(self.columns["arch_code"])
 
-    @property
-    def nbytes(self) -> int:
-        return sum(array.nbytes for array in self.columns.values())
-
     def chunk(self, start: int, stop: int) -> FleetChunk:
         """A zero-copy :class:`FleetChunk` view of rows [start, stop)."""
         return FleetChunk(
@@ -187,8 +183,8 @@ class LazyFaultyList(Sequence):
     lowering path; integer access materializes the window-aligned block
     around the index — the replay path, which walks CPUs in order
     within a shard and therefore hits the cache after the first touch.
-    Pickling drops the cache, so shipping a population to workers costs
-    only the SoA columns.
+    Pickling drops the cache, so a pickled population costs only the
+    SoA columns.
     """
 
     def __init__(self, frame: FleetFrame, window: int = DEFAULT_CHUNK_SIZE, obs=None):
@@ -272,8 +268,7 @@ class FrameFleetPopulation(FleetPopulation):
 
     Drop-in for every engine (they only slice/index ``faulty``), but
     peak resident Processors stay bounded by the window.  The frame is
-    exposed so the parallel engine can ship it to workers over shared
-    memory instead of pickling Processor objects.
+    exposed so callers can spill it to a column store.
     """
 
     def __init__(self, frame: FleetFrame, window: int = DEFAULT_CHUNK_SIZE, obs=None):

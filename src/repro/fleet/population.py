@@ -304,18 +304,6 @@ def _build_fleet_defect(
     )
 
 
-def _sample_fleet_defect(
-    name: str,
-    arch: MicroArchitecture,
-    onset_days: float,
-    escapes: bool,
-    rng: np.random.Generator,
-) -> Defect:
-    """One defect with catalog-consistent statistics (sample + build)."""
-    params = _sample_defect_params(arch, rng)
-    return _build_fleet_defect(name, arch, params, onset_days, escapes)
-
-
 @dataclass
 class FleetChunk:
     """A contiguous run of faulty CPUs in struct-of-arrays form.

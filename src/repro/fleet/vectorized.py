@@ -87,12 +87,10 @@ class VectorizedTestPipeline:
             population, library, config, trigger_model, seed, obs=obs
         )
         #: Optional :class:`repro.obs.Observability` context; ``None``
-        #: disables telemetry.  Ranges replayed by *this* engine are
-        #: accounted under ``obs_label`` ("vectorized" here; the
-        #: parallel engine relabels its worker engines "parallel"), so
-        #: mixed-engine campaigns keep exact per-engine totals.
+        #: disables telemetry.  Ranges run here are accounted under the
+        #: ``engine="vectorized"`` label, so mixed-engine campaigns keep
+        #: exact per-engine totals.
         self.obs = obs
-        self.obs_label = "vectorized"
         self.population = population
         self.library = library
         self.config = self._scalar.config
@@ -100,13 +98,10 @@ class VectorizedTestPipeline:
         # Settings skeletons per match signature: defects sampled from
         # the same instruction pool share their testcase rows.
         self._skeletons: Dict[object, Tuple] = {}
-        # The lowering is deterministic and consumes no pipeline-stream
-        # draws, so blocks are computed once per CPU range and reused
-        # across run_range calls (sharded campaigns, checkpoint resume,
-        # parallel shard workers).  The stage schedule is
-        # population-independent and cached separately.
+        # The stage schedule is population-independent, so it is
+        # computed once.  Lowered blocks are not cached: a campaign
+        # lowers each range once, and a retried shard re-lowers it.
         self._schedule_cache: Optional[Tuple] = None
-        self._blocks: Dict[Tuple[int, int], Tuple] = {}
         # Named scratch buffers for the per-kind expectation loop.
         # Lowering is called once per (shard, kind); without reuse each
         # call allocates five O(pairs)+O(rows) temporaries.  Buffers
@@ -220,22 +215,17 @@ class VectorizedTestPipeline:
         """Faulty CPUs ``[range_start, range_stop)`` → struct-of-arrays.
 
         Pure function of the population/config/trigger (no pipeline
-        stream draws), cached per block so sharded and resumed campaigns
-        pay for each range once.  Every per-pair quantity — the
-        behaviour replay (independent :class:`VectorPCG64` lane per
-        setting seed), the scalar-`pow` frequency law, and the
-        index-ordered ``bincount`` accumulations (whose addends never
-        cross a CPU boundary) — is computed identically whether the CPU
-        is lowered alone, in a shard, or in the full population, which
-        is what lets parallel shard workers lower disjoint ranges and
-        still match the serial engine bit for bit.
+        stream draws).  Every per-pair quantity — the behaviour replay
+        (independent :class:`VectorPCG64` lane per setting seed), the
+        scalar-`pow` frequency law, and the index-ordered ``bincount``
+        accumulations (whose addends never cross a CPU boundary) — is
+        computed identically whether the CPU is lowered alone, in a
+        shard, or in the full population, which is what lets any shard
+        size match the scalar engine bit for bit.
 
         All returned arrays are indexed by ``cpu - range_start``.
         """
-        cached = self._blocks.get((range_start, range_stop))
-        if cached is not None:
-            return cached
-        schedule, kind_temp, kind_time = self._schedule()
+        _, kind_temp, kind_time = self._schedule()
         n_kinds = len(kind_temp)
 
         # ---- struct-of-arrays lowering over the range ----
@@ -430,7 +420,7 @@ class VectorizedTestPipeline:
                 ).tolist()
             )
 
-        cached = (
+        return (
             cpu_skip,
             cpu_onset,
             cpu_pair_start,
@@ -439,8 +429,6 @@ class VectorizedTestPipeline:
             list(zip(*kind_probs)),
             kind_nnz,
         )
-        self._blocks[(range_start, range_stop)] = cached
-        return cached
 
     def run_range(
         self, start: int, stop: int, result: FleetStudyResult
@@ -456,18 +444,7 @@ class VectorizedTestPipeline:
         engine, so any per-shard engine mix is bit-identical to one
         uninterrupted run.
         """
-        return self.replay_range(start, stop, result, self._scalar._stream)
-
-    def replay_range(
-        self, start: int, stop: int, result: FleetStudyResult, stream
-    ) -> FleetStudyResult:
-        """:meth:`run_range`, but reading draws from a caller-owned stream.
-
-        The parallel engine positions a fresh
-        :class:`~repro.rng.CountedStream` at a shard's draw offset
-        (O(1) jump-ahead) and replays the shard in a worker; passing the
-        engine's own pipeline stream makes this exactly ``run_range``.
-        """
+        stream = self._scalar._stream
         obs = self.obs
         if obs is not None:
             started = time.perf_counter()
@@ -528,25 +505,13 @@ class VectorizedTestPipeline:
                 detections_append(detection)
         if obs is not None:
             record_range_metrics(
-                obs, self.obs_label, result,
+                obs, "vectorized", result,
                 entry_detections, entry_undetected,
                 stream.consumed - entry_draws,
                 stop - start,
                 time.perf_counter() - started,
             )
         return result
-
-    def accounting_range(self, start: int, stop: int) -> Tuple:
-        """Compact draw-accounting arrays for faulty CPUs ``[start, stop)``.
-
-        ``(cpu_skip, cpu_onset, cpu_probs, kind_nnz)``, all indexed by
-        ``cpu - start`` — exactly the inputs the parallel engine's
-        parent-side scan needs to walk the shared Bernoulli stream
-        (one draw per passing gate, ``nnz`` skipped draws per
-        detection) without materialising the per-pair replay arrays.
-        """
-        block = self._lower_range(start, stop)
-        return (block[0], block[1], block[5], block[6])
 
     @staticmethod
     def _sample_failing(

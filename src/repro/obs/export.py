@@ -5,17 +5,17 @@ verification, not for looking at.  :func:`to_chrome_trace` converts a
 merged record list into the Trace Event Format that ``chrome://tracing``
 and https://ui.perfetto.dev both open:
 
-* one **process track per pid** (scheduler, each pool worker), named by
-  metadata events so the coordinator reads "repro coordinator" and the
-  workers "repro worker";
+* one **process track per pid** (each process whose records were
+  merged, e.g. successive daemon incarnations), named by metadata
+  events so the coordinator reads "repro coordinator" and the others
+  "repro worker";
 * spans as complete ``"X"`` events (begin spans that never ended — a
   SIGKILL mid-shard — degrade to ``"B"`` events so the tear stays
   visible);
 * tracer events as ``"i"`` instants;
-* cross-process parent links (``parent_pid`` on worker root spans) as
-  flow event pairs (``"s"`` at the parent, ``"f"`` at the child), which
-  Perfetto renders as arrows from the scheduler's shard span down into
-  the worker that ran it.
+* cross-process parent links (``parent_pid`` on a span whose parent
+  lives in another process) as flow event pairs (``"s"`` at the
+  parent, ``"f"`` at the child), which Perfetto renders as arrows.
 
 Monotonic clocks do not share an epoch across processes, so absolute
 cross-pid alignment is impossible from the records alone; each pid's

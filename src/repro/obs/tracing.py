@@ -16,15 +16,10 @@ rules keep tracing safe to enable on seeded campaigns:
   tolerates a torn final line — the same crash-consistency posture as
   :mod:`repro.resilience.checkpoint`.
 
-Spans stitch across processes and threads.  Every record carries the
-emitting ``pid`` and a small per-tracer thread index ``tid``; span ids
-are only unique *within* a process, so joins key on ``(pid, span)``.
-A parent hands its identity to workers as a ``(pid, span)`` ref
-(:meth:`Tracer.current_ref`); the worker opens a
-:meth:`Tracer.remote_span` carrying ``parent`` + ``parent_pid``, and
-after the work ships its records home the parent replays them through
-:meth:`Tracer.emit_foreign` into its own sink — one trace file, one
-connected job → shard → worker tree.
+Every record carries the emitting ``pid`` and a small per-tracer
+thread index ``tid``; span ids are only unique *within* a process, so
+joins key on ``(pid, span)``, and traces from several processes merge
+without renumbering.
 
 When telemetry is disabled the campaign code holds no tracer at all
 (``obs is None``); :class:`NullTracer` exists for call sites that want
@@ -274,8 +269,7 @@ class Tracer:
 
     def current_ref(self) -> Optional[SpanRef]:
         """``(pid, span_id)`` of the innermost open span on this
-        thread, or None — the handle a parent sends to workers so
-        their spans join this trace."""
+        thread, or None."""
         stack = self._local_stack()
         if not stack:
             return None
@@ -283,32 +277,6 @@ class Tracer:
 
     def span(self, name: str, **attrs: object) -> _Span:
         parent = self._local_stack()[-1] if self._local_stack() else None
-        return self._begin(name, parent, None, attrs)
-
-    def remote_span(
-        self, name: str, parent_ref: Optional[SpanRef], **attrs: object
-    ) -> _Span:
-        """Open a span whose parent lives in another process.
-
-        ``parent_ref`` is a :meth:`current_ref` tuple from the
-        coordinating process (None degrades to a plain root span).  A
-        locally open span still wins — remote parentage only applies
-        at the top of this thread's stack.
-        """
-        local_parent = (
-            self._local_stack()[-1] if self._local_stack() else None
-        )
-        if local_parent is not None or parent_ref is None:
-            return self._begin(name, local_parent, None, attrs)
-        return self._begin(name, parent_ref[1], parent_ref[0], attrs)
-
-    def _begin(
-        self,
-        name: str,
-        parent: Optional[int],
-        parent_pid: Optional[int],
-        attrs: Dict[str, object],
-    ) -> _Span:
         span_id = next(self._ids)
         record: Dict[str, object] = {
             "kind": "span_begin",
@@ -320,8 +288,6 @@ class Tracer:
         }
         if parent is not None:
             record["parent"] = parent
-        if parent_pid is not None and parent_pid != self._pid:
-            record["parent_pid"] = parent_pid
         if attrs:
             record["attrs"] = attrs
         self._sink.emit(record)
@@ -341,18 +307,6 @@ class Tracer:
         if attrs:
             record["attrs"] = attrs
         self._sink.emit(record)
-
-    def emit_foreign(self, record: Dict[str, object]) -> None:
-        """Replay a record produced by another process's tracer into
-        this tracer's sink, verbatim.
-
-        Worker tracers collect into a :class:`ListTraceSink`; after a
-        shard succeeds the parent merges those records here so the
-        sealed trace file holds the whole distributed tree.  The
-        record keeps its own ``pid``/``span`` ids — joins are keyed by
-        ``(pid, span)`` so no renumbering is needed.
-        """
-        self._sink.emit(dict(record))
 
     def close(self) -> None:
         self._sink.close()
@@ -388,13 +342,7 @@ class NullTracer:
     def span(self, name: str, **attrs: object) -> _NullSpan:
         return _NULL_SPAN
 
-    def remote_span(self, name: str, parent_ref=None, **attrs) -> _NullSpan:
-        return _NULL_SPAN
-
     def event(self, name: str, **attrs: object) -> None:
-        pass
-
-    def emit_foreign(self, record: Dict[str, object]) -> None:
         pass
 
     def close(self) -> None:

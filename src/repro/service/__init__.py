@@ -6,10 +6,9 @@ Layering, bottom-up:
   (checkpoint-container line format, per-incarnation segments).
 * :mod:`~repro.service.scheduler` — crash-tolerant campaign scheduler:
   journaled admission, bounded queues, rolling
-  :class:`~repro.resilience.campaign.ResilientCampaign` shards on a
-  worker pool, journal replay + checkpoint resume on restart.
-* :mod:`~repro.service.governor` — daemon-wide core arbitration for
-  multi-process job execution, verdict retention policies, and the
+  :class:`~repro.resilience.campaign.ResilientCampaign` shards on
+  worker threads, journal replay + checkpoint resume on restart.
+* :mod:`~repro.service.policy` — verdict retention policies and the
   adaptive Retry-After latency window.
 * :mod:`~repro.service.api` — the hand-rolled HTTP/1.1 surface
   (``/submit``, ``/verdicts/<job>``, ``/healthz``, ``/readyz``,
@@ -23,8 +22,7 @@ Layering, bottom-up:
 
 from .chaos import HOOK_POINTS, ServiceChaos, parse_chaos_spec
 from .client import Rejected, ServiceClient, read_endpoint
-from .governor import (
-    CoreGovernor,
+from .policy import (
     RetentionPolicy,
     ShardLatencyWindow,
     parse_retention,
@@ -40,7 +38,6 @@ from .server import ENDPOINT_FILE, ReproService, ServiceThread
 
 __all__ = [
     "CampaignScheduler",
-    "CoreGovernor",
     "ENDPOINT_FILE",
     "HOOK_POINTS",
     "JobRecord",

@@ -152,30 +152,6 @@ class ServiceClient:
             f"{reply.body.decode('utf-8', 'replace').strip()}"
         )
 
-    def submit_with_retry(
-        self,
-        submission: Dict[str, object],
-        *,
-        timeout_s: float = 120.0,
-    ) -> Dict[str, object]:
-        """Submit, honoring Retry-After on 429 until admitted or timeout.
-
-        503 (draining) is not retried here — that daemon incarnation
-        will never admit the job; the caller decides what restart means.
-        """
-        deadline = time.monotonic() + timeout_s
-        while True:
-            try:
-                return self.submit(submission)
-            except Rejected as rejection:
-                if rejection.status != 429:
-                    raise
-                if time.monotonic() >= deadline:
-                    raise
-                time.sleep(
-                    min(rejection.retry_after_s, deadline - time.monotonic())
-                )
-
     def jobs(self) -> Dict[str, object]:
         reply = self._request("GET", "/jobs")
         if reply.status != 200:

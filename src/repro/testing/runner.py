@@ -464,19 +464,6 @@ class ToolchainRunner:
                     )
                 )
 
-    def run_sequence(
-        self,
-        testcases: Sequence[Testcase],
-        duration_per_testcase_s: float,
-        store: Optional[RecordStore] = None,
-        cores: Optional[Sequence[int]] = None,
-    ) -> List[TestcaseRun]:
-        """Run testcases back to back, thermal state carrying over."""
-        return [
-            self.run_testcase(tc, duration_per_testcase_s, cores=cores, store=store)
-            for tc in testcases
-        ]
-
     def idle(self, duration_s: float) -> None:
         """Let the package cool with no load (between test rounds)."""
         self.thermal.step(duration_s, {})

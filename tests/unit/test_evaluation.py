@@ -2,8 +2,14 @@
 
 import pytest
 
-from repro.core import ApplicationProfile, CoverageResult, simulate_online
+from repro.core import (
+    ApplicationProfile,
+    CoverageResult,
+    simulate_online,
+    simulate_online_batch,
+)
 from repro.core.evaluation import coverage_experiment
+from repro.core.farron import Farron
 from repro.cpu import ARCHITECTURES, Feature, Processor
 from repro.errors import ConfigurationError
 
@@ -85,3 +91,88 @@ class TestSimulateOnline:
             coverage_experiment(
                 catalog["FPU1"], library, "magic", known=set()
             )
+
+
+def _online_apps(processors):
+    apps = []
+    for i, processor in enumerate(processors):
+        usage = {}
+        for defect in processor.defects:
+            for mnemonic in defect.instructions:
+                usage[mnemonic] = 7.0e5 + 1.0e5 * (i % 3)
+        apps.append(ApplicationProfile(
+            name=f"lane{i}",
+            features=frozenset({Feature.VECTOR, Feature.FPU}),
+            instruction_usage=usage,
+            heat_factor=1.0 + 0.3 * (i % 2),
+            spike_period_s=900.0 if i % 2 else 0.0,
+            spike_duration_s=60.0,
+            consistency_ops_per_s=8.0e5 if i % 3 == 0 else 0.0,
+        ))
+    return apps
+
+
+@pytest.mark.parametrize("protected", [True, False])
+def test_simulate_online_batch_bit_identical(catalog, library, protected):
+    names = ("MIX1", "MIX2", "SIMD1", "FPU1", "CNST1", "CNST2")
+    processors = [catalog[name] for name in names]
+    apps = _online_apps(processors)
+    scalar = [
+        simulate_online(
+            p, a, hours=1.0, protected=protected, farron=Farron(library),
+            dt_s=5.0, seed=3,
+        )
+        for p, a in zip(processors, apps)
+    ]
+    batch = simulate_online_batch(
+        processors, apps, hours=1.0, protected=protected, library=library,
+        dt_s=5.0, seed=3,
+    )
+    assert len(batch) == len(scalar)
+    for s, b in zip(scalar, batch):
+        assert (s.processor_id, s.app_name, s.protected, s.hours) == (
+            b.processor_id, b.app_name, b.protected, b.hours
+        )
+        assert s.sdc_count == b.sdc_count
+        assert s.backoff_seconds == b.backoff_seconds
+        assert s.final_boundary_c == b.final_boundary_c
+        assert s.max_temp_c == b.max_temp_c
+    if protected:
+        assert any(s.final_boundary_c > 50.0 for s in scalar), (
+            "boundary adaptation must actually engage"
+        )
+
+
+def test_simulate_online_batch_cooling_falls_back_to_scalar(catalog, library):
+    processors = [catalog["MIX1"], catalog["FPU2"]]
+    apps = _online_apps(processors)
+    batch = simulate_online_batch(
+        processors, apps, hours=0.25, protected=True, library=library,
+        dt_s=5.0, seed=1, control="cooling",
+    )
+    scalar = [
+        simulate_online(
+            p, a, hours=0.25, protected=True, farron=Farron(library),
+            dt_s=5.0, seed=1, control="cooling",
+        )
+        for p, a in zip(processors, apps)
+    ]
+    for s, b in zip(scalar, batch):
+        assert s.sdc_count == b.sdc_count
+        assert s.max_temp_c == b.max_temp_c
+
+
+def test_simulate_online_batch_validation(catalog, library):
+    mix1 = catalog["MIX1"]
+    (app,) = _online_apps([mix1])
+    assert simulate_online_batch([], [], library=library) == []
+    with pytest.raises(ConfigurationError):
+        simulate_online_batch([mix1], [], library=library)
+    with pytest.raises(ConfigurationError):
+        simulate_online_batch([mix1], [app], hours=-1.0, library=library)
+    with pytest.raises(ConfigurationError):
+        simulate_online_batch([mix1], [app], dt_s=0.0, library=library)
+    with pytest.raises(ConfigurationError):
+        simulate_online_batch([mix1], [app], control="magic", library=library)
+    with pytest.raises(ConfigurationError):
+        simulate_online_batch([mix1], [app])  # neither farron nor library

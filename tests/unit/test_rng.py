@@ -1,8 +1,9 @@
 """Unit tests for deterministic RNG substreams."""
 
 import numpy as np
+import pytest
 
-from repro.rng import derive_seed, stream_family, substream
+from repro.rng import CountedStream, derive_seed, stream_family, substream
 
 
 def test_same_path_same_stream():
@@ -50,3 +51,47 @@ def test_stream_family_yields_distinct_streams():
     # Streams must at least not be the same object / same state.
     a = next(stream_family(9, "cpu"))
     assert isinstance(a, np.random.Generator)
+
+
+# -- O(1) jump-ahead ----------------------------------------------------------
+
+
+@pytest.mark.parametrize("skip", [0, 1, 5, 255, 256, 257, 1_000, 40_000])
+def test_fast_forward_equals_replay(skip):
+    jumped = CountedStream(5, "pipeline", block=256)
+    replayed = CountedStream(5, "pipeline", block=256)
+    for _ in range(7):  # leave both mid-buffer
+        assert jumped.draw() == replayed.draw()
+    jumped.fast_forward(skip)
+    for _ in range(skip):
+        replayed.draw()
+    assert jumped.consumed == replayed.consumed == 7 + skip
+    assert jumped.draw_many(300) == replayed.draw_many(300)
+
+
+def test_fast_forward_is_constant_time_not_replay():
+    """A jump far beyond any replayable horizon matches the closed form."""
+    position = 10**15  # ~11 days of draws at 1e9/s: replay is impossible
+    stream = CountedStream(3, "pipeline")
+    stream.fast_forward(position)
+    raw = substream(3, "pipeline")
+    raw.bit_generator.advance(position)  # numpy's reference jump
+    reference = raw.random()
+    assert stream.draw() == reference
+    # Jumps compose: ff(a); ff(b) lands where ff(a + b) does.
+    split = CountedStream(3, "pipeline")
+    split.fast_forward(position - 12_345)
+    split.fast_forward(12_345)
+    assert split.consumed == position
+    assert split.draw() == reference
+
+
+def test_reset_to_rewinds_and_replays_exactly():
+    stream = CountedStream(8, "pipeline", block=128)
+    first = stream.draw_many(500)
+    stream.fast_forward(1_000)
+    tail = stream.draw_many(50)
+    stream.reset_to(200)
+    assert stream.draw_many(300) == first[200:500]
+    stream.reset_to(1_500)
+    assert stream.draw_many(50) == tail

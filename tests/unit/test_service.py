@@ -5,13 +5,12 @@ chaos-spec grammar, the scheduler's recovery state machine, and the
 in-process HTTP API end to end — including the acceptance-criteria
 behaviors: verdict parity with a direct campaign run, a saturated
 admission queue answering 429 with Retry-After while losing nothing,
-multi-process execution parity (with and without a SIGKILLed pool
-worker), and verdict retention that survives restarts.
+state written by older daemons resuming bit-identically, and verdict
+retention that survives restarts.
 """
 
 import json
-import os
-import signal
+import shutil
 import threading
 import time
 import zlib
@@ -23,7 +22,7 @@ from repro.errors import (
     JournalCorruptError,
     ServiceError,
 )
-from repro.resilience import CampaignSpec, ResilientCampaign
+from repro.resilience import CampaignSpec, CheckpointStore, ResilientCampaign
 from repro.service import (
     JournalWriter,
     Rejected,
@@ -51,17 +50,6 @@ SPEC = dict(
     pipeline_seed=5,
     failure_rate_scale=80.0,
     shard_size=8,
-)
-
-#: Heavy enough that the promoted parallel path really builds a pool:
-#: ~173 faulty CPUs in one 256-CPU campaign shard splits into three
-#: 64-CPU sub-shards, so two leased workers engage the process pool.
-HEAVY_SPEC = dict(
-    total_processors=6000,
-    fleet_seed=3,
-    pipeline_seed=5,
-    failure_rate_scale=80.0,
-    shard_size=256,
 )
 
 
@@ -420,7 +408,7 @@ class TestGracefulDrain:
         assert verdict["result"] == direct.result.to_dict()
 
 
-# -- multi-process execution -------------------------------------------------
+# -- state written by older daemons ------------------------------------------
 
 
 def _direct_result(spec_dict, library):
@@ -429,126 +417,60 @@ def _direct_result(spec_dict, library):
     return campaign.result.to_dict()
 
 
+class TestLegacyStoredState:
+    def test_parallel_engine_checkpoint_and_journal_resume(
+        self, tmp_path, library
+    ):
+        """A job journaled with ``engine: "parallel"`` and pool hints,
+        checkpointed mid-campaign, resumes on the vectorized engine
+        and lands the direct vectorized verdict."""
+        legacy_spec = dict(CampaignSpec(**SPEC).to_dict(), engine="parallel")
+        with JournalWriter(tmp_path / "journal") as journal:
+            journal.append(
+                "submit", job="legacy", spec=legacy_spec,
+                exec={"workers": 2, "engine_pinned": True},
+            )
+            journal.append("start", job="legacy", resume=False)
+        store = CheckpointStore(tmp_path / "jobs" / "legacy" / "ckpt")
+        partial = ResilientCampaign.from_spec(
+            CampaignSpec(**SPEC), library, checkpoint_store=store
+        )
+        partial.step()
+        partial.step()
+        payload = store.load_latest()
+        payload["spec"] = legacy_spec
+        store.save(payload)
+        direct = _direct_result(SPEC, library)
+
+        # The checkpoint alone, as `repro resume` reads it (on a copy:
+        # resuming writes newer snapshots).
+        shutil.copytree(store.directory, tmp_path / "copy")
+        resumed = ResilientCampaign.resume(
+            CheckpointStore(tmp_path / "copy"), library
+        )
+        assert resumed.engine == "vectorized"
+        assert resumed.cursor == 2 * SPEC["shard_size"]
+        assert resumed.run().to_dict() == direct
+
+        with ServiceThread(tmp_path, library=library) as handle:
+            client = ServiceClient("127.0.0.1", handle.port)
+            verdict = client.wait_verdict("legacy", timeout_s=120)
+        assert verdict["spec"]["engine"] == "vectorized"
+        assert verdict["result"] == direct
+
+
 class TestWorkersHint:
+    """``workers`` was a process-pool hint; the daemon has no pool, so
+    a submission carrying it is refused as an unknown field."""
+
     @pytest.fixture()
     def scheduler(self, tmp_path, library):
-        return CampaignScheduler(tmp_path, library, core_budget=2)
+        return CampaignScheduler(tmp_path, library)
 
-    @pytest.mark.parametrize("bad", ["two", 0, -3, 1.5, True])
+    @pytest.mark.parametrize("bad", ["two", 0, -3, 1.5, True, 2])
     def test_invalid_workers_rejected(self, scheduler, bad):
         with pytest.raises(ConfigurationError, match="workers"):
             scheduler.parse_submission(dict(SPEC, workers=bad))
-
-    def test_workers_capped_by_core_budget(self, scheduler):
-        normalized = scheduler.parse_submission(dict(SPEC, workers=64))
-        assert normalized["workers"] == 2
-
-    def test_workers_hint_passes_through(self, scheduler):
-        normalized = scheduler.parse_submission(dict(SPEC, workers=1))
-        assert normalized["workers"] == 1
-        assert scheduler.parse_submission(dict(SPEC))["workers"] is None
-
-    def test_explicit_engine_is_a_pin(self, scheduler):
-        assert scheduler.parse_submission(dict(SPEC))["engine_pinned"] is False
-        pinned = scheduler.parse_submission(dict(SPEC, engine="vectorized"))
-        assert pinned["engine_pinned"] is True
-
-    def test_hints_survive_recovery(self, tmp_path, library):
-        spec = CampaignSpec(**SPEC).to_dict()
-        with JournalWriter(tmp_path / "journal") as journal:
-            journal.append(
-                "submit", job="hinted", spec=spec,
-                exec={"workers": 3, "engine_pinned": True},
-            )
-            journal.append("submit", job="plain", spec=spec)
-        scheduler = CampaignScheduler(tmp_path, library, core_budget=4)
-        assert scheduler.jobs["hinted"].workers_hint == 3
-        assert scheduler.jobs["hinted"].engine_pinned is True
-        assert scheduler.jobs["plain"].workers_hint is None
-        assert scheduler.jobs["plain"].engine_pinned is False
-
-
-class TestMultiProcessExecution:
-    def test_promoted_job_bit_identical_and_pool_observable(
-        self, tmp_path, library
-    ):
-        """A heavy job promoted to the process pool produces the exact
-        thread-mode verdict, and the workers' metric snapshots land in
-        the daemon's live registry."""
-        with ServiceThread(
-            tmp_path, library=library,
-            core_budget=2, parallel_granule=8, checkpoint_every=1,
-        ) as handle:
-            client = ServiceClient("127.0.0.1", handle.port)
-            client.submit(dict(HEAVY_SPEC, job_id="heavy"))
-            verdict = client.wait_verdict("heavy", timeout_s=300)
-            metrics = client.metrics_text()
-        assert verdict["result"] == _direct_result(HEAVY_SPEC, library)
-        # Worker-process registries merged into the live /metrics
-        # stream: the parallel task counters only ever increment inside
-        # pool workers.
-        assert "repro_parallel_tasks_total" in metrics
-        assert "repro_service_core_budget" in metrics
-
-    def test_engine_pinned_job_never_builds_a_pool(self, tmp_path, library):
-        with ServiceThread(
-            tmp_path, library=library,
-            core_budget=4, parallel_granule=8, checkpoint_every=1,
-        ) as handle:
-            client = ServiceClient("127.0.0.1", handle.port)
-            client.submit(
-                dict(HEAVY_SPEC, engine="vectorized", job_id="pinned")
-            )
-            verdict = client.wait_verdict("pinned", timeout_s=300)
-            metrics = client.metrics_text()
-            record = handle.service.scheduler.jobs["pinned"]
-        assert record.engine_pinned is True
-        assert "repro_parallel_tasks_total" not in metrics
-        assert verdict["result"] == _direct_result(HEAVY_SPEC, library)
-
-    def test_workers_hint_of_one_stays_in_process(self, tmp_path, library):
-        with ServiceThread(
-            tmp_path, library=library,
-            core_budget=4, parallel_granule=8, checkpoint_every=1,
-        ) as handle:
-            client = ServiceClient("127.0.0.1", handle.port)
-            client.submit(dict(HEAVY_SPEC, workers=1, job_id="solo"))
-            verdict = client.wait_verdict("solo", timeout_s=300)
-            metrics = client.metrics_text()
-        assert "repro_parallel_tasks_total" not in metrics
-        assert verdict["result"] == _direct_result(HEAVY_SPEC, library)
-
-    def test_killed_pool_worker_degrades_not_corrupts(
-        self, tmp_path, library
-    ):
-        """SIGKILL a worker *process* mid-shard: the job degrades to
-        the in-process engine with a health event and the verdict stays
-        bit-identical."""
-        big = dict(HEAVY_SPEC, total_processors=20000, shard_size=512)
-        with ServiceThread(
-            tmp_path, library=library,
-            core_budget=2, parallel_granule=8, checkpoint_every=1,
-        ) as handle:
-            client = ServiceClient("127.0.0.1", handle.port)
-            client.submit(dict(big, job_id="wounded"))
-            scheduler = handle.service.scheduler
-            deadline = time.monotonic() + 60
-            pids = []
-            while time.monotonic() < deadline:
-                pids = scheduler.worker_pids()
-                if pids:
-                    break
-                time.sleep(0.002)
-            assert pids, "pool never came up for the promoted job"
-            os.kill(pids[0], signal.SIGKILL)
-            verdict = client.wait_verdict("wounded", timeout_s=300)
-            record = scheduler.jobs["wounded"]
-        assert verdict["result"] == _direct_result(big, library)
-        assert record.pool_degraded is True
-        kinds = [
-            event["kind"] for event in verdict["health"]["events"]
-        ]
-        assert "degradation" in kinds
 
 
 # -- verdict retention -------------------------------------------------------

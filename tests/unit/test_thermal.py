@@ -1,10 +1,12 @@
 """Unit tests for the thermal substrate."""
 
+import numpy as np
 import pytest
 
 from repro.cpu import ARCHITECTURES
 from repro.errors import ConfigurationError
 from repro.thermal import (
+    BatchPackageThermalModel,
     CoolingDevice,
     FanCurveController,
     PackageThermalModel,
@@ -227,3 +229,37 @@ class TestMonitor:
         assert monitor.latest is None
         sample = monitor.sample()
         assert monitor.latest == sample
+
+
+def test_batch_thermal_bit_identical_to_scalar(catalog):
+    processors = [catalog[name] for name in ("MIX1", "SIMD1", "FPU2", "CNST1")]
+    archs = [p.arch for p in processors]
+    batch = BatchPackageThermalModel(archs)
+    scalars = [PackageThermalModel(arch) for arch in archs]
+    utils = [0.2, 0.9, 0.55, 1.0]
+    heats = [1.0, 1.6, 0.8, 1.2]
+    for step in range(25):
+        # 6.0 s and 2.1 s round differently under NumPy's exp and libm.
+        dt = 6.0 if step % 3 else 2.1
+        if step == 12:  # a cooling change moves the package time constant
+            batch.cooling_factor = 0.75
+            for scalar in scalars:
+                scalar.set_cooling_factor(0.75)
+        powers = batch.core_powers(np.array(utils), np.array(heats))
+        batch.step(dt, powers)
+        for lane, scalar in enumerate(scalars):
+            scalar.step(
+                dt,
+                {
+                    c: (utils[lane], heats[lane])
+                    for c in range(archs[lane].physical_cores)
+                },
+            )
+        utils = [(u * 7919) % 1.0 for u in utils]  # vary the load
+    temps = batch.core_temps()
+    assert batch.elapsed_s == scalars[0].elapsed_s
+    for lane, scalar in enumerate(scalars):
+        assert batch.t_package[lane] == scalar.package_temp
+        assert temps[lane, : archs[lane].physical_cores].tolist() == (
+            scalar.core_temps()
+        )

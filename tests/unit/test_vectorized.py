@@ -21,6 +21,7 @@ from repro.perf.exact_rng import (
     derive_seed_batch,
     pcg64_state_words,
 )
+from repro.perf import parallel as perf_parallel
 from repro.perf.parallel import default_workers, deterministic_map
 from repro.rng import derive_seed, substream
 from repro.testing import build_library
@@ -162,3 +163,44 @@ def test_parallel_map_deterministic_across_worker_counts():
 def test_default_workers_bounds():
     assert default_workers(0) == 1
     assert 1 <= default_workers(4) <= 4
+
+
+def test_vector_pcg64_advance_matches_numpy():
+    seeds = np.array([0, 1, 2**31, 2**63 - 1, 1234567891011], dtype=np.uint64)
+    for delta in (1, 2, 1023, 2**40 + 17, 2**100 + 3):
+        vec = VectorPCG64.from_seeds(seeds)
+        vec.advance(delta)
+        expected = []
+        for seed in seeds.tolist():
+            bg = np.random.PCG64(np.random.SeedSequence(seed))
+            bg.advance(delta)
+            expected.append(np.random.Generator(bg).random())
+        assert vec.next_double().tolist() == expected
+
+
+def test_vector_pcg64_advance_per_lane_deltas():
+    seeds = np.array([7, 8, 9, 10], dtype=np.uint64)
+    deltas = np.array([0, 3, 1_000, 2**50], dtype=np.uint64)
+    vec = VectorPCG64.from_seeds(seeds)
+    vec.advance(deltas)
+    expected = []
+    for seed, delta in zip(seeds.tolist(), deltas.tolist()):
+        bg = np.random.PCG64(np.random.SeedSequence(seed))
+        bg.advance(delta)
+        expected.append(np.random.Generator(bg).random())
+    assert vec.next_double().tolist() == expected
+
+
+def test_default_workers_respects_scheduler_affinity(monkeypatch):
+    monkeypatch.setattr(
+        perf_parallel.os, "sched_getaffinity", lambda pid: {0, 2, 5},
+        raising=False,
+    )
+    assert perf_parallel.default_workers() == 3
+    assert perf_parallel.default_workers(2) == 2  # capped by task count
+
+
+def test_default_workers_falls_back_to_cpu_count(monkeypatch):
+    monkeypatch.delattr(perf_parallel.os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(perf_parallel.os, "cpu_count", lambda: 6)
+    assert perf_parallel.default_workers() == 6
