@@ -12,11 +12,10 @@ re-derive it, so this module memoizes the store on disk:
   (arch, defects, instructions, affected cores) and every testcase id —
   so any change to the catalog or library changes the file name rather
   than serving stale records;
-* the cache **file** reuses the campaign checkpoint format
-  (:func:`repro.resilience.checkpoint.write_checkpoint`): canonical-JSON
-  payload, CRC-32 self-check, atomic temp-file + ``os.replace`` write.
-  A torn or bit-rotted cache file fails its self-check and the corpus
-  is recomputed — the cache can be slow, never wrong;
+* the cache **file** is a campaign checkpoint
+  (:func:`repro.resilience.checkpoint.write_checkpoint`).  A torn or
+  bit-rotted cache file fails its self-check and the corpus is
+  recomputed — the cache can be slow, never wrong;
 * records round-trip exactly: Python ints carry the 80-bit FLOAT64X
   patterns without truncation, and JSON floats use shortest-repr
   encoding, so the reloaded store compares equal field for field.

@@ -8,7 +8,7 @@ simulators via a keyword-only ``obs=None`` parameter:
 
 * :class:`MetricsRegistry` — counters/gauges/histograms with labeled
   series, exact snapshot/merge aggregation,
-  Prometheus-text and canonical-JSON (CRC-32 self-checking) exporters.
+  Prometheus-text and sealed JSON exporters.
 * :class:`Tracer` / :class:`JsonlTraceSink` — context-manager spans
   and point events on an injected monotonic clock (telemetry never
   consumes RNG draws), persisted as self-checking JSONL.

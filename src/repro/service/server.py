@@ -35,10 +35,10 @@ from pathlib import Path
 from typing import Dict, Optional, Sequence, Tuple
 
 from ..errors import ServiceError
-from ..fsutil import replace_and_sync_directory
 from ..obs import Observability, record_memory
 from ..obs.health import HealthEngine, HealthRule, default_service_rules
 from ..obs.timeseries import MetricsScraper, TimeSeriesStore
+from ..sealed import atomic_write
 from ..testing import build_library
 from .api import ServiceApi, RequestError, read_request, render_response
 from .chaos import ServiceChaos
@@ -168,14 +168,10 @@ class ReproService:
 
     def _write_endpoint(self) -> None:
         doc = {"host": self.host, "port": self.port, "pid": os.getpid()}
-        path = self.state_dir / ENDPOINT_FILE
-        tmp = path.with_name(path.name + ".tmp")
-        with open(tmp, "w", encoding="utf-8") as handle:
-            json.dump(doc, handle)
-            handle.write("\n")
-            handle.flush()
-            os.fsync(handle.fileno())
-        replace_and_sync_directory(tmp, path)
+        text = (json.dumps(doc) + "\n").encode("utf-8")
+        atomic_write(
+            self.state_dir / ENDPOINT_FILE, lambda handle: handle.write(text)
+        )
 
     # -- mission control -----------------------------------------------------
 

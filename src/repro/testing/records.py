@@ -129,9 +129,6 @@ class RecordStore:
             ],
         )
 
-    def for_setting(self, setting: SettingKey) -> List[SDCRecord]:
-        return [r for r in self.records if r.setting == setting]
-
     def settings(self) -> List[SettingKey]:
         """Distinct settings, computation and consistency combined."""
         seen: Dict[SettingKey, None] = {}
@@ -151,9 +148,3 @@ class RecordStore:
         return [
             r.mask for r in self.records if dtype is None or r.dtype is dtype
         ]
-
-    def datatypes_seen(self) -> List[DataType]:
-        seen: Dict[DataType, None] = {}
-        for record in self.records:
-            seen.setdefault(record.dtype)
-        return list(seen)

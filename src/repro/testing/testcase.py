@@ -110,10 +110,6 @@ class Testcase:
     def is_consistency(self) -> bool:
         return self.consistency_kind is not None
 
-    @property
-    def is_multithreaded(self) -> bool:
-        return self.threads > 1
-
     # -- derived properties ---------------------------------------------------
 
     def datatypes(self, isa: ISA = DEFAULT_ISA) -> Tuple[DataType, ...]:

@@ -51,11 +51,6 @@ class BigIntResult:
     def corrupted(self) -> bool:
         return self.value != self.golden
 
-    def relative_error(self) -> float:
-        if self.golden == 0:
-            return 0.0 if self.value == 0 else float("inf")
-        return abs(self.value - self.golden) / self.golden
-
 
 def bigint_add(
     executor: Executor,

@@ -121,17 +121,6 @@ class TestTimeSeriesStore:
         fresh = TimeSeriesStore.restore(path)
         assert fresh.keys() == []  # lost history, live daemon
 
-    def test_crc_flip_detected(self, tmp_path):
-        store = TimeSeriesStore(TIERS)
-        store.record("g", 1.0, 1.0)
-        path = tmp_path / "history.json"
-        store.save(path)
-        doc = json.loads(path.read_text())
-        doc["payload"]["series"]["g"]["raw"][0][1] = 999.0
-        path.write_text(json.dumps(doc))
-        with pytest.raises(TimeSeriesCorruptError, match="CRC"):
-            TimeSeriesStore.load(path)
-
     def test_missing_file_restores_empty(self, tmp_path):
         store = TimeSeriesStore.restore(tmp_path / "nope.json")
         assert store.keys() == []

@@ -166,6 +166,10 @@ class TestMetricsRegistry:
         document["payload"]["families"][0]["series"][0]["value"] = 10.0
         with pytest.raises(ObservabilityError):
             MetricsRegistry.from_json(json.dumps(document))
+        document = json.loads(text)
+        document["version"] = 99
+        with pytest.raises(ObservabilityError, match="99"):
+            MetricsRegistry.from_json(json.dumps(document))
 
     def test_prometheus_text_round_trip(self):
         registry = MetricsRegistry()

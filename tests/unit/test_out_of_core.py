@@ -22,7 +22,6 @@ from repro.analysis.corpus_cache import CorpusCache, corpus_fingerprint
 from repro.colstore import read_columns, write_columns
 from repro.errors import (
     CheckpointCorruptError,
-    CheckpointError,
     ConfigurationError,
 )
 from repro.fleet import (
@@ -179,14 +178,6 @@ def test_colstore_rejects_corrupt_column(tmp_path):
     target.write_bytes(bytes(raw))
     with pytest.raises(CheckpointCorruptError):
         read_columns(tmp_path / "store", verify=True)
-
-
-def test_colstore_rejects_torn_manifest(tmp_path):
-    write_columns(tmp_path / "store", {"a": np.arange(4)}, meta={})
-    manifest = tmp_path / "store" / "manifest.json"
-    manifest.write_bytes(manifest.read_bytes()[:-7])
-    with pytest.raises(CheckpointError):
-        read_columns(tmp_path / "store")
 
 
 def test_colstore_spill_bytes_metered(tmp_path):

@@ -1,9 +1,8 @@
-"""Gating logic of scripts/promote_parallel_bench.py.
+"""Gating logic of scripts/promote_bench.py.
 
-The promotion is the ROADMAP-item-1 leftover: a multi-core scaling
-datapoint measured by CI replaces the committed 1-core artifact — but
-only from a runner with enough effective cores, only with exact
-parity, and never overwriting a better multi-core measurement.
+A datapoint measured by CI replaces the committed artifact only from a
+runner with enough effective cores, only with exact parity, and never
+overwriting a better multi-core measurement.
 """
 
 import importlib.util
@@ -13,9 +12,8 @@ from pathlib import Path
 import pytest
 
 _SPEC = importlib.util.spec_from_file_location(
-    "promote_parallel_bench",
-    Path(__file__).resolve().parents[2]
-    / "scripts" / "promote_parallel_bench.py",
+    "promote_bench",
+    Path(__file__).resolve().parents[2] / "scripts" / "promote_bench.py",
 )
 promote_mod = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(promote_mod)
@@ -36,7 +34,7 @@ def report(cores, efficiency, parity="exact", benchmark="bench_parallel_fleet"):
 @pytest.fixture()
 def paths(tmp_path):
     candidate = tmp_path / "candidate.json"
-    committed = tmp_path / "BENCH_parallel.json"
+    committed = tmp_path / "BENCH_committed.json"
     committed.write_text(json.dumps(report(1, 0.1)))
     return candidate, committed
 
@@ -104,9 +102,9 @@ class TestGate:
 
     def test_benchmark_name_generalizes_the_gate(self, tmp_path):
         """--benchmark-name retargets the whole gate at another scaling
-        report (the service bench reuses the promotion machinery)."""
+        report."""
         candidate = tmp_path / "cand.json"
-        committed = tmp_path / "BENCH_service.json"
+        committed = tmp_path / "BENCH_other.json"
         candidate.write_text(
             json.dumps(report(8, 0.7, benchmark="bench_perf_service"))
         )
@@ -183,8 +181,8 @@ class TestGate:
         ) == 1
 
     def test_cli_skip_on_this_runner_or_promote(self, tmp_path):
-        # End-to-end CLI invocation with defaults pointed at temp files:
-        # on any runner this must exit 0 (skip or promote, never crash).
+        # End-to-end CLI invocation pointed at temp files: on any
+        # runner this must exit 0 (skip or promote, never crash).
         candidate = tmp_path / "cand.json"
         committed = tmp_path / "comm.json"
         candidate.write_text(json.dumps(report(2, 0.9)))
@@ -193,3 +191,10 @@ class TestGate:
             "--candidate", str(candidate),
             "--committed", str(committed),
         ]) == 0
+
+    def test_cli_requires_both_paths(self, tmp_path):
+        path = str(tmp_path / "report.json")
+        for argv in (["--candidate", path], ["--committed", path]):
+            with pytest.raises(SystemExit) as exit_info:
+                promote_mod.main(argv)
+            assert exit_info.value.code == 2

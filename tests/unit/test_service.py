@@ -33,7 +33,7 @@ from repro.service import (
     parse_chaos_spec,
     replay_journal,
 )
-from repro.service.journal import _canonical
+from repro.sealed import canonical
 from repro.service.scheduler import (
     JOB_DONE,
     JOB_EXPIRED,
@@ -118,7 +118,7 @@ class TestJournal:
     def test_unsupported_version_raises(self, tmp_path):
         header = {"format": "repro-service-journal", "version": 99}
         (tmp_path / "journal-000001.wal").write_text(
-            _canonical(header).decode() + "\n"
+            canonical(header).decode() + "\n"
         )
         with pytest.raises(JournalCorruptError):
             replay_journal(tmp_path)
@@ -131,7 +131,7 @@ class TestJournal:
         ).read_text().splitlines()[1]
         record = json.loads(line)
         claimed = record.pop("crc32")
-        assert zlib.crc32(_canonical(record)) == claimed
+        assert zlib.crc32(canonical(record)) == claimed
 
 
 # -- chaos spec grammar ------------------------------------------------------
