@@ -5,7 +5,9 @@ Runs the same seeded staged test campaign through the scalar
 engines produce *identical* detections (same processors, stages, days,
 and failing-testcase sets, in the same order); and records the
 wall-clock comparison in ``BENCH_fleet.json`` at the repository root so
-the perf trajectory is tracked across PRs.
+the perf trajectory is tracked across PRs.  ``generate_s`` is the median
+wall time of ``generate_fleet`` over the repeats (the fleet-generation
+layer that precedes every campaign).
 
 The default configuration is a 100k-processor fleet densified with
 ``failure_rate_scale`` so the campaign actually exercises thousands of
@@ -22,6 +24,7 @@ import argparse
 import json
 import logging
 import platform
+import statistics
 import sys
 import time
 from pathlib import Path
@@ -58,7 +61,11 @@ def run(args: argparse.Namespace) -> dict:
         failure_rate_scale=args.scale,
         seed=args.fleet_seed,
     )
-    fleet = generate_fleet(spec)
+    generate_times = []
+    for _ in range(args.repeats):
+        start = time.perf_counter()
+        fleet = generate_fleet(spec)
+        generate_times.append(time.perf_counter() - start)
     library = build_library()
 
     scalar_s = float("inf")
@@ -98,6 +105,7 @@ def run(args: argparse.Namespace) -> dict:
         },
         "pipeline_seed": args.seed,
         "repeats": args.repeats,
+        "generate_s": round(statistics.median(generate_times), 4),
         "scalar_s": round(scalar_s, 4),
         "vectorized_s": round(vectorized_s, 4),
         "speedup": round(scalar_s / vectorized_s, 2),
@@ -137,6 +145,7 @@ def main(argv=None) -> int:
     report = run(args)
     args.out.write_text(json.dumps(report, indent=2) + "\n")
     print(
+        f"generate {report['generate_s']:.3f}s  "
         f"scalar {report['scalar_s']:.3f}s  "
         f"vectorized {report['vectorized_s']:.3f}s  "
         f"speedup {report['speedup']:.1f}x  "

@@ -47,16 +47,17 @@ from repro.service import Rejected, ServiceClient  # noqa: E402
 from repro.testing import build_library  # noqa: E402
 
 SPEC = dict(
-    total_processors=2500,
+    total_processors=20000,
     fleet_seed=9,
     pipeline_seed=13,
     failure_rate_scale=80.0,
     shard_size=4,
 )
 
-#: Per-shard chaos delay keeps the reference campaign in flight long
-#: enough for both SIGKILLs to land mid-campaign deterministically.
-SLOW_CHAOS = {"schedule": {str(shard): ["delay"] for shard in range(64)}}
+#: Per-shard chaos delay on every one of a job's ~150 shards keeps the
+#: four acked jobs busy for ~10 s, well past both SIGKILLs even though
+#: each incarnation lives until its first history flush (~2 s).
+SLOW_CHAOS = {"schedule": {str(shard): ["delay"] for shard in range(256)}}
 
 
 def log(message: str) -> None:
@@ -94,6 +95,28 @@ def wait_ready(state_dir: Path, timeout_s: float = 60.0) -> ServiceClient:
     raise SystemExit("FAIL: daemon never became ready")
 
 
+def wait_history_flushed(
+    state_dir: Path, since_ns: int, timeout_s: float = 30.0
+) -> None:
+    """Block until ``timeseries.json`` was rewritten after ``since_ns``.
+
+    The daemon flushes scrape history every 10 scrapes, so an
+    incarnation killed before its first flush leaves nothing for the
+    next one to restore.  Waiting for that flush before each SIGKILL
+    keeps the history assertion about crash survival, not kill timing.
+    """
+    path = state_dir / "timeseries.json"
+    deadline = time.monotonic() + timeout_s
+    while time.monotonic() < deadline:
+        try:
+            if path.stat().st_mtime_ns > since_ns:
+                return
+        except FileNotFoundError:
+            pass
+        time.sleep(0.1)
+    raise SystemExit("FAIL: daemon never flushed its scrape history")
+
+
 def _alert(client: ServiceClient, name: str) -> dict | None:
     try:
         doc = client.alerts()
@@ -118,6 +141,7 @@ def drive(state_dir: Path) -> int:
     log(f"reference verdict: {len(reference['detections'])} detections")
 
     max_queue = 4
+    started_ns = time.time_ns()
     daemon = start_daemon(state_dir, max_queue)
     try:
         client = wait_ready(state_dir)
@@ -167,6 +191,13 @@ def drive(state_dir: Path) -> int:
         last_restart_wall = None
         for round_index in (1, 2):
             time.sleep(0.3)
+            wait_history_flushed(state_dir, started_ns)
+            states = [(client.job(job_id) or {}).get("state") for job_id in acked]
+            if all(state == "done" for state in states):
+                raise SystemExit(
+                    f"FAIL: every job finished before SIGKILL round "
+                    f"{round_index}; the kill would not land mid-campaign"
+                )
             daemon.send_signal(signal.SIGKILL)
             daemon.wait(timeout=60)
             if daemon.returncode != -signal.SIGKILL:
@@ -175,6 +206,7 @@ def drive(state_dir: Path) -> int:
                 )
             log(f"SIGKILL round {round_index}: daemon dead, restarting")
             last_restart_wall = time.time()
+            started_ns = time.time_ns()
             daemon = start_daemon(state_dir, max_queue)
             client = wait_ready(state_dir)
             for job_id in acked:

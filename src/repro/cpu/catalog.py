@@ -21,6 +21,7 @@ All trigger parameters are calibrated against the paper:
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -130,8 +131,9 @@ def _computation_bitflip(
     pattern_probability: float,
 ) -> PatternBitflip:
     numeric = PositionBiasedBitflip()
+    # Built on first read: fleet campaigns never look at the patterns.
     return PatternBitflip(
-        patterns=_patterns_for(defect_name, datatypes),
+        patterns=partial(_patterns_for, defect_name, datatypes),
         pattern_probability=pattern_probability,
         fallback=numeric,
     )
@@ -164,10 +166,19 @@ def _defect(
     pattern_probability: float = 0.6,
     cores: Optional[Tuple[int, ...]] = None,
     multithread_only: bool = False,
+    multipliers: Optional[Dict[int, float]] = None,
+    escapes_toolchain: bool = False,
+    onset_days: float = 0.0,
 ) -> Defect:
+    """Build a catalog or fleet defect.
+
+    ``multipliers`` lets a caller that derived an all-core defect's
+    :func:`_core_multipliers` in bulk pass them in precomputed.
+    """
     if scope is DefectScope.ALL_CORES:
         core_ids = tuple(range(arch.physical_cores))
-        multipliers = _core_multipliers(arch.physical_cores, name)
+        if multipliers is None:
+            multipliers = _core_multipliers(arch.physical_cores, name)
     else:
         core_ids = cores if cores is not None else (0,)
         multipliers = {core: 1.0 for core in core_ids}
@@ -197,6 +208,8 @@ def _defect(
         bitflip=bitflip,
         core_multipliers=multipliers,
         multithread_only=multithread_only or is_consistency,
+        escapes_toolchain=escapes_toolchain,
+        onset_days=onset_days,
     )
 
 

@@ -20,7 +20,8 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
+from functools import cached_property
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -178,7 +179,10 @@ class UniformBitflip(BitflipModel):
         return mask
 
 
-@dataclass
+#: Per-datatype bitflip patterns: ``(xor mask, relative weight)`` pairs.
+PatternTable = Dict[DataType, List[Tuple[int, float]]]
+
+
 class PatternBitflip(BitflipModel):
     """Pattern-dominant model implementing Observation 8.
 
@@ -188,16 +192,35 @@ class PatternBitflip(BitflipModel):
     (testcase, processor) pair; because a testcase determines the
     operation datatype, per-datatype patterns reproduce per-setting
     patterns.
+
+    ``patterns`` is either the table itself or a zero-argument source
+    that builds it.  A source runs (and its table is validated) the
+    first time :attr:`patterns` is read — the first SDC mask, an
+    equality test or a repr — so a fleet of faulty CPUs that never
+    corrupts a value never pays for its patterns.  From then on
+    ``patterns`` is a plain instance attribute.  Equality and pickling
+    do not depend on whether the table has been built yet.
     """
 
-    patterns: Dict[DataType, List[Tuple[int, float]]]
-    pattern_probability: float
-    fallback: BitflipModel
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.pattern_probability <= 1.0:
+    def __init__(
+        self,
+        patterns: Union[PatternTable, Callable[[], PatternTable]],
+        pattern_probability: float,
+        fallback: BitflipModel,
+    ) -> None:
+        if not 0.0 <= pattern_probability <= 1.0:
             raise ConfigurationError("pattern_probability must be in [0,1]")
-        for dtype, entries in self.patterns.items():
+        self.pattern_probability = pattern_probability
+        self.fallback = fallback
+        if callable(patterns):
+            self._source: Optional[Callable[[], PatternTable]] = patterns
+        else:
+            self._source = None
+            self.__dict__["patterns"] = self._validated(patterns)
+
+    @staticmethod
+    def _validated(patterns: PatternTable) -> PatternTable:
+        for dtype, entries in patterns.items():
             if not entries:
                 raise ConfigurationError(f"empty pattern list for {dtype}")
             for mask, weight in entries:
@@ -207,6 +230,29 @@ class PatternBitflip(BitflipModel):
                     )
                 if weight <= 0:
                     raise ConfigurationError("pattern weights must be positive")
+        return patterns
+
+    @cached_property
+    def patterns(self) -> PatternTable:
+        patterns = self._validated(self._source())
+        self._source = None
+        return patterns
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (
+            self.patterns == other.patterns
+            and self.pattern_probability == other.pattern_probability
+            and self.fallback == other.fallback
+        )
+
+    def __repr__(self) -> str:
+        return (
+            f"PatternBitflip(patterns={self.patterns!r}, "
+            f"pattern_probability={self.pattern_probability!r}, "
+            f"fallback={self.fallback!r})"
+        )
 
     def sample_mask(self, dtype: DataType, rng: np.random.Generator) -> int:
         entries = self.patterns.get(dtype)

@@ -1,8 +1,9 @@
 """Out-of-core fleet frames: SoA faulty populations with lazy windows.
 
 Eager generation holds every faulty :class:`~repro.cpu.processor
-.Processor` resident — kilobytes apiece once bitflip patterns and core
-multipliers are attached.  At paper scale (>1M CPUs, dense
+.Processor` resident — ~2 KB apiece for the core topology and per-core
+multipliers, more once a defect's bitflip patterns are built on first
+use.  At paper scale (>1M CPUs, dense
 ``failure_rate_scale``) that dominates campaign RSS.  A
 :class:`FleetFrame` instead keeps the ~45-byte struct-of-arrays row
 that *determines* each processor (the :func:`~.population

@@ -3,8 +3,12 @@
 The study covers "over one million CPUs from hundreds of clusters in 28
 data centers across 14 countries" (§1).  Healthy processors are only
 *counted* (there are ~999,640 of them and they never do anything
-interesting); faulty processors are fully instantiated with defects so
-the test pipeline can exercise them.
+interesting); faulty processors are instantiated with defects so the
+test pipeline can exercise them.  A chunk of faulty CPUs materializes
+in one batch (core multipliers for every all-core defect replay their
+NumPy streams through :class:`~repro.perf.exact_rng.VectorPCG64`), and
+each defect's bitflip patterns are built the first time something reads
+them, which fleet campaigns never do.
 
 Calibration:
 
@@ -29,6 +33,12 @@ from typing import Dict, Iterator, List, Optional, Tuple
 import numpy as np
 
 from ..errors import ConfigurationError
+from ..perf.exact_rng import (
+    VectorPCG64,
+    derive_from_hasher,
+    encode_names,
+    seed_hasher,
+)
 from ..rng import substream
 from ..units import from_permyriad
 from ..cpu.catalog import (
@@ -242,18 +252,48 @@ def _sample_defect_params(
     )
 
 
+def _batched_core_multipliers(
+    names: List[str], n_cores: List[int]
+) -> List[Dict[int, float]]:
+    """``_core_multipliers(n, name)`` for many all-core CPUs at once.
+
+    Bit-identical to the catalog oracle, insertion order included: the
+    ``substream(0, "core-multipliers", name)`` seeds come from one
+    shared-prefix SHA-256 pass, one :class:`VectorPCG64` lane replays
+    each stream, and core ``k`` draws only on the lanes with more than
+    ``k`` cores.  ``10.0 ** u`` stays a Python float pow because
+    NumPy's array pow is not libm-identical.
+    """
+    out: List[Dict[int, float]] = [{0: 1.0} for _ in names]
+    if not names:
+        return out
+    seeds = derive_from_hasher(
+        seed_hasher(0, "core-multipliers"), encode_names(names)
+    )
+    streams = VectorPCG64.from_seeds(np.array(seeds, dtype=np.uint64))
+    cores = np.asarray(n_cores)
+    for core in range(1, int(cores.max())):
+        lanes = np.flatnonzero(cores > core)
+        draws = streams.uniform(-3.0, 0.0, lanes).tolist()
+        for lane, u in zip(lanes.tolist(), draws):
+            out[lane][core] = 10.0 ** u
+    return out
+
+
 def _build_fleet_defect(
     name: str,
     arch: MicroArchitecture,
     params: Tuple[bool, int, int, int, float, float, float, float],
     onset_days: float,
     escapes: bool,
+    multipliers: Optional[Dict[int, float]],
 ) -> Defect:
     """Deterministically rebuild a defect from its sampled parameters.
 
-    Consumes no randomness: core multipliers and bitflip patterns come
-    from name-keyed substreams inside the catalog builder, so the same
-    ``(name, params)`` always yields the identical frozen
+    Consumes no randomness: core multipliers (``None`` for single-core
+    defects, else from :func:`_batched_core_multipliers`) and bitflip
+    patterns come from name-keyed substreams, so the same ``(name,
+    params)`` always yields the identical frozen
     :class:`~repro.cpu.defects.Defect`, whether built during streamed
     chunk materialization or eager generation.
     """
@@ -281,24 +321,12 @@ def _build_fleet_defect(
         )
     scope = DefectScope.SINGLE_CORE if core_id >= 0 else DefectScope.ALL_CORES
     cores = (core_id,) if core_id >= 0 else None
-    defect = _defect(
+    return _defect(
         name, features, arch, scope, instructions,
         tmin=tmin, log10_f0=log10_f0, slope=slope,
         pattern_probability=pattern_probability,
         cores=cores,
-    )
-    # Dataclass is frozen; rebuild with onset/escape attributes set.
-    return Defect(
-        defect_id=defect.defect_id,
-        features=defect.features,
-        scope=defect.scope,
-        core_ids=defect.core_ids,
-        instructions=defect.instructions,
-        datatypes=defect.datatypes,
-        trigger=defect.trigger,
-        bitflip=defect.bitflip,
-        core_multipliers=defect.core_multipliers,
-        multithread_only=defect.multithread_only,
+        multipliers=multipliers,
         escapes_toolchain=escapes,
         onset_days=onset_days,
     )
@@ -310,9 +338,10 @@ class FleetChunk:
 
     Each row is one faulty CPU's complete stochastic state (the output
     of :func:`_sample_defect_params` plus onset/escape draws) — about
-    45 bytes instead of the kilobytes a materialized
-    :class:`~repro.cpu.processor.Processor` costs — so a million-CPU
-    fleet streams through memory a chunk at a time.
+    45 bytes instead of the ~2 KB a materialized
+    :class:`~repro.cpu.processor.Processor` costs (its core topology
+    and per-core multipliers; bitflip patterns add ~0.3 KB once built)
+    — so a million-CPU fleet streams through memory a chunk at a time.
     :meth:`materialize` deterministically rebuilds the exact Processor
     objects eager generation would have produced for the same rows.
     """
@@ -339,34 +368,53 @@ class FleetChunk:
     def __len__(self) -> int:
         return len(self.arch_code)
 
-    def materialize_row(self, row: int) -> Processor:
-        """Rebuild one row's Processor, bit-identical to eager output."""
-        name = self.arch_names[int(self.arch_code[row])]
-        arch = ARCHITECTURES[name]
-        cpu_name = f"{name}-F{int(self.arch_index[row]):04d}"
-        params = (
-            bool(self.consistency[row]),
-            int(self.combo[row]),
-            int(self.pool_index[row]),
-            int(self.core_id[row]),
-            float(self.tmin[row]),
-            float(self.log10_f0[row]),
-            float(self.slope[row]),
-            float(self.pattern_prob[row]),
-        )
-        defect = _build_fleet_defect(
-            cpu_name, arch, params,
-            float(self.onset_days[row]), bool(self.escapes[row]),
-        )
-        return Processor(
-            processor_id=cpu_name,
-            arch=arch,
-            defects=(defect,),
-            age_years=0.0,
-        )
-
     def materialize(self) -> List[Processor]:
-        return [self.materialize_row(row) for row in range(len(self))]
+        """Rebuild every row's Processor, bit-identical to eager output.
+
+        Row columns convert to Python scalars once per chunk, and the
+        all-core rows' core multipliers are derived in one batch.
+        """
+        archs = [
+            ARCHITECTURES[self.arch_names[code]]
+            for code in self.arch_code.tolist()
+        ]
+        names = [
+            f"{arch.name}-F{index:04d}"
+            for arch, index in zip(archs, self.arch_index.tolist())
+        ]
+        core_id = self.core_id.tolist()
+        all_core = [row for row, core in enumerate(core_id) if core < 0]
+        multipliers = dict(zip(all_core, _batched_core_multipliers(
+            [names[row] for row in all_core],
+            [archs[row].physical_cores for row in all_core],
+        )))
+        params = zip(
+            self.consistency.tolist(),
+            self.combo.tolist(),
+            self.pool_index.tolist(),
+            core_id,
+            self.tmin.tolist(),
+            self.log10_f0.tolist(),
+            self.slope.tolist(),
+            self.pattern_prob.tolist(),
+        )
+        rows = zip(
+            names, archs, params,
+            self.onset_days.tolist(), self.escapes.tolist(),
+        )
+        return [
+            Processor(
+                processor_id=name,
+                arch=arch,
+                defects=(_build_fleet_defect(
+                    name, arch, row_params, onset_days, escapes,
+                    multipliers.get(row),
+                ),),
+                age_years=0.0,
+            )
+            for row, (name, arch, row_params, onset_days, escapes)
+            in enumerate(rows)
+        ]
 
 
 def fleet_arch_counts(spec: FleetSpec) -> Dict[str, int]:

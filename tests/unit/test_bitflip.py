@@ -1,8 +1,12 @@
 """Unit tests for bitflip models."""
 
+import pickle
+from functools import partial
+
 import pytest
 
 from repro.cpu import DataType
+from repro.cpu.catalog import _patterns_for
 from repro.cpu.datatypes import flipped_positions, popcount
 from repro.errors import ConfigurationError
 from repro.faults import (
@@ -158,6 +162,83 @@ class TestPattern:
             PatternBitflip(
                 patterns={DataType.INT32: [(1 << 40, 1.0)]},
                 pattern_probability=0.5,
+                fallback=UniformBitflip(),
+            )
+
+
+#: Datatypes of a defect whose patterns cover float, int and bin masks.
+_LAZY_DTYPES = (DataType.FLOAT64, DataType.INT32, DataType.BIN64)
+
+
+def _lazy_and_eager(name="LAZY-F0001"):
+    lazy = PatternBitflip(
+        patterns=partial(_patterns_for, name, _LAZY_DTYPES),
+        pattern_probability=0.6,
+        fallback=PositionBiasedBitflip(),
+    )
+    eager = PatternBitflip(
+        patterns=_patterns_for(name, _LAZY_DTYPES),
+        pattern_probability=0.6,
+        fallback=PositionBiasedBitflip(),
+    )
+    return lazy, eager
+
+
+def _built(model):
+    return "patterns" in vars(model)
+
+
+class TestPatternsBuiltOnFirstUse:
+    def test_unresolved_equals_eager(self):
+        lazy, eager = _lazy_and_eager()
+        assert not _built(lazy)
+        assert lazy == eager
+        assert _built(lazy)
+        other, _ = _lazy_and_eager()
+        assert eager == other
+        different, _ = _lazy_and_eager("LAZY-F0002")
+        assert different != eager
+
+    def test_first_read_builds_a_plain_dict(self):
+        lazy, eager = _lazy_and_eager()
+        patterns = lazy.patterns
+        assert type(patterns) is dict
+        assert patterns == eager.patterns
+        assert lazy.patterns is patterns
+
+    def test_pickle_round_trip_before_and_after_resolution(self):
+        lazy, eager = _lazy_and_eager()
+        clone = pickle.loads(pickle.dumps(lazy))
+        assert not _built(clone)
+        assert clone == eager
+        lazy.patterns
+        resolved = pickle.loads(pickle.dumps(lazy))
+        assert _built(resolved)
+        assert resolved == eager
+        assert pickle.loads(pickle.dumps(eager)) == eager
+
+    def test_same_masks_from_same_rng(self):
+        lazy, eager = _lazy_and_eager()
+        rng_a = substream(5, "lazy-patterns")
+        rng_b = substream(5, "lazy-patterns")
+        for _ in range(100):
+            for dtype in _LAZY_DTYPES + (DataType.FLOAT32,):
+                assert lazy.sample_mask(dtype, rng_a) == eager.sample_mask(
+                    dtype, rng_b
+                )
+
+    def test_source_validated_when_built(self):
+        model = PatternBitflip(
+            patterns=lambda: {DataType.INT32: [(1 << 40, 1.0)]},
+            pattern_probability=0.5,
+            fallback=UniformBitflip(),
+        )
+        with pytest.raises(ConfigurationError):
+            model.sample_mask(DataType.INT32, substream(1, "x"))
+        with pytest.raises(ConfigurationError):
+            PatternBitflip(
+                patterns=lambda: {DataType.INT32: [(1, 1.0)]},
+                pattern_probability=1.5,
                 fallback=UniformBitflip(),
             )
 

@@ -1,8 +1,12 @@
 """Unit tests for fleet population, topology, pipeline, and stats."""
 
+import hashlib
+from dataclasses import astuple
+
 import pytest
 
 from repro.cpu import SDCType
+from repro.cpu.catalog import ARCHITECTURES, _core_multipliers
 from repro.errors import ConfigurationError
 from repro.fleet import (
     FleetSpec,
@@ -11,7 +15,12 @@ from repro.fleet import (
     TestPipeline,
     build_topology,
     generate_fleet,
+    iter_fleet_chunks,
     stats,
+)
+from repro.fleet.population import (
+    DEFAULT_CHUNK_SIZE,
+    _batched_core_multipliers,
 )
 from repro.rng import substream
 from repro.units import permyriad
@@ -72,6 +81,95 @@ class TestPopulation:
             if p.defects[0].escapes_toolchain
         ]
         assert 0 < len(escaped) < len(small_fleet.faulty) / 4
+
+
+def _generation_digest(population):
+    """SHA-256 over every field of every faulty CPU, patterns resolved."""
+    hasher = hashlib.sha256()
+    for processor in population.faulty:
+        (defect,) = processor.defects
+        bitflip = defect.bitflip
+        patterns = None if bitflip is None else (
+            [(dt.value, list(entries)) for dt, entries in bitflip.patterns.items()],
+            bitflip.pattern_probability,
+        )
+        row = (
+            processor.processor_id, processor.arch.name,
+            [f.value for f in defect.features], defect.scope.value,
+            defect.core_ids, defect.instructions,
+            [dt.value for dt in defect.datatypes], astuple(defect.trigger),
+            list(defect.core_multipliers.items()), defect.escapes_toolchain,
+            defect.onset_days, patterns,
+        )
+        hasher.update(repr(row).encode())
+    return hasher.hexdigest()
+
+
+class TestMaterialization:
+    """Batched chunk materialization stays bit-identical to the oracles."""
+
+    #: Recorded from the per-row materializer (per-CPU multiplier
+    #: generators, eagerly built patterns) that the batched path replaced.
+    PINNED_DIGEST = (
+        "dd5ae614a77ea9e6fb6304d1e360075c518b77eeaeac7b08135b79bb72e0b88c"
+    )
+
+    def test_generation_digest_is_pinned(self):
+        population = generate_fleet(
+            FleetSpec(total_processors=100_000, failure_rate_scale=20, seed=3)
+        )
+        assert len(population.faulty) == 672
+        assert _generation_digest(population) == self.PINNED_DIGEST
+
+    def test_batched_multipliers_match_oracle_for_every_arch(self):
+        # Interleave architectures so lanes with different core counts
+        # stop drawing at different steps within one batch.
+        names, cores = [], []
+        for index in range(3):
+            for arch_name, arch in ARCHITECTURES.items():
+                names.append(f"{arch_name}-F{index:04d}")
+                cores.append(arch.physical_cores)
+        assert sorted(set(cores)) == [8, 10, 12, 16, 20, 24, 28, 32]
+        batched = _batched_core_multipliers(names, cores)
+        for name, n, multipliers in zip(names, cores, batched):
+            assert list(multipliers.items()) == list(
+                _core_multipliers(n, name).items()
+            )
+
+    @pytest.mark.parametrize("chunk_size", [1, 7, DEFAULT_CHUNK_SIZE])
+    def test_chunk_multipliers_match_oracle(self, chunk_size):
+        spec = FleetSpec(total_processors=40_000, failure_rate_scale=40, seed=2)
+        all_core_archs = set()
+        spans_boundary = False
+        for chunk in iter_fleet_chunks(spec, chunk_size=chunk_size):
+            spans_boundary |= len(set(chunk.arch_code.tolist())) > 1
+            for processor in chunk.materialize():
+                (defect,) = processor.defects
+                if len(defect.core_ids) == 1:
+                    assert defect.core_multipliers == {defect.core_ids[0]: 1.0}
+                    continue
+                all_core_archs.add(processor.arch.name)
+                oracle = _core_multipliers(
+                    processor.arch.physical_cores, processor.processor_id
+                )
+                # Dict order matters: the vectorized engine's fast path
+                # compares tuple(multipliers) against core_ids.
+                assert list(defect.core_multipliers.items()) == list(oracle.items())
+                assert tuple(defect.core_multipliers) == defect.core_ids
+        # M4's low Table-2 rate leaves it no all-core CPU in this fleet;
+        # the batch test above covers its 10 cores.
+        assert all_core_archs == set(ARCHITECTURES) - {"M4"}
+        assert spans_boundary == (chunk_size > 1)
+
+    def test_generation_leaves_patterns_unbuilt(self):
+        population = generate_fleet(FleetSpec(total_processors=50_000, seed=9))
+        bitflips = [
+            p.defects[0].bitflip
+            for p in population.faulty
+            if p.defects[0].bitflip is not None
+        ]
+        assert bitflips
+        assert all("patterns" not in vars(b) for b in bitflips)
 
 
 class TestTopology:
