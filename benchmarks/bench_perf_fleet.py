@@ -39,7 +39,7 @@ from repro.fleet import (
     generate_fleet,
 )
 from repro.obs import logging_setup
-from repro.perf.parallel import default_workers
+from repro.perf import effective_cores
 from repro.testing import build_library
 
 logger = logging.getLogger("repro.bench.perf_fleet")
@@ -115,7 +115,7 @@ def run(args: argparse.Namespace) -> dict:
             "python": platform.python_version(),
             "numpy": np.__version__,
             "machine": platform.machine(),
-            "effective_cores": default_workers(),
+            "effective_cores": effective_cores(),
         },
     }
 

@@ -47,7 +47,7 @@ from repro.fleet import (
     stats,
 )
 from repro.obs import Observability, logging_setup, record_memory
-from repro.perf.parallel import default_workers
+from repro.perf import effective_cores
 from repro.resilience import ResilientCampaign
 from repro.testing import build_library
 
@@ -181,7 +181,7 @@ def run(args: argparse.Namespace) -> dict:
             "python": platform.python_version(),
             "numpy": np.__version__,
             "machine": platform.machine(),
-            "effective_cores": default_workers(),
+            "effective_cores": effective_cores(),
         },
     }
 

@@ -19,7 +19,6 @@ from .evaluation import (
     OverheadResult,
     coverage_experiment,
     coverage_experiment_group,
-    coverage_sweep,
     overhead_experiment,
     simulate_online,
 )
@@ -50,7 +49,6 @@ __all__ = [
     "OverheadResult",
     "coverage_experiment",
     "coverage_experiment_group",
-    "coverage_sweep",
     "overhead_experiment",
     "simulate_online",
     "simulate_online_batch",

@@ -21,7 +21,7 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from ..errors import ConfigurationError
 from ..obs.context import span
-from ..rng import derive_seed, substream
+from ..rng import substream
 from ..cpu.features import Feature
 from ..cpu.processor import Processor
 from ..faults.trigger import TriggerModel
@@ -41,7 +41,6 @@ __all__ = [
     "OverheadResult",
     "coverage_experiment",
     "coverage_experiment_group",
-    "coverage_sweep",
     "simulate_online",
     "overhead_experiment",
 ]
@@ -270,131 +269,6 @@ def coverage_experiment_group(
         )
         for i, processor in enumerate(processors)
     ]
-
-
-# Per-worker context for coverage_sweep: the library and app features
-# are shipped once per worker process (initializer), not once per task.
-_SWEEP_CONTEXT: Dict[str, object] = {}
-
-
-def _coverage_sweep_init(library, app_features) -> None:
-    _SWEEP_CONTEXT["library"] = library
-    _SWEEP_CONTEXT["app_features"] = app_features
-
-
-def _coverage_sweep_task(task) -> CoverageResult:
-    processor, strategy, seed = task
-    return coverage_experiment(
-        processor,
-        _SWEEP_CONTEXT["library"],
-        strategy,
-        app_features=_SWEEP_CONTEXT["app_features"],
-        seed=seed,
-    )
-
-
-def _coverage_sweep_group_task(task) -> List[CoverageResult]:
-    processors, strategy, seeds = task
-    return coverage_experiment_group(
-        list(processors),
-        _SWEEP_CONTEXT["library"],
-        strategy,
-        app_features=_SWEEP_CONTEXT["app_features"],
-        seeds=list(seeds),
-    )
-
-
-def coverage_sweep(
-    processors: List[Processor],
-    library: TestcaseLibrary,
-    strategy: str,
-    app_features: Optional[Set[Feature]] = None,
-    seed: int = 0,
-    workers: Optional[int] = None,
-    retries: int = 0,
-    timeout_s: Optional[float] = None,
-    health=None,
-    obs=None,
-    engine: str = "scalar",
-    group_size: int = 16,
-) -> List[CoverageResult]:
-    """Figure 11 across many processors, process-parallel and supervised.
-
-    Each processor's experiment is seeded from its own id
-    (``derive_seed(seed, "coverage-sweep", processor_id)``) and results
-    come back in processor order, so the output is bit-identical for
-    any ``workers`` value — parallelism only changes wall-clock time.
-    Retries and pool degradation re-run pure tasks, so supervision
-    (``retries``, ``timeout_s``, ``health`` — see
-    :func:`repro.perf.parallel.deterministic_map`) never changes
-    results either; a sweep item that keeps failing surfaces as
-    :class:`~repro.errors.TransientWorkerError` naming the processor.
-
-    ``engine="batch"`` groups ``group_size`` processors per worker
-    task and runs each group's experiment phases on the batched
-    screening engine (:func:`coverage_experiment_group`); per-processor
-    seeds are derived exactly as in the scalar sweep, so results stay
-    bit-identical — grouping and batching only change wall-clock time.
-    The scalar path (one processor per task) is unchanged.
-    """
-    if strategy not in ("baseline", "farron"):
-        # Fail fast in the parent: otherwise every worker task fails
-        # one by one, each burning its whole retry budget.
-        raise ConfigurationError(f"unknown strategy {strategy!r}")
-    if engine not in ("scalar", "batch"):
-        raise ConfigurationError(
-            f"engine must be 'scalar' or 'batch', got {engine!r}"
-        )
-    if group_size <= 0:
-        raise ConfigurationError("group_size must be positive")
-    # Imported here, not at module top: repro.perf.parallel pulls in
-    # repro.core.backoff, so a top-level import would be circular when
-    # the perf layer loads first.
-    from ..perf.parallel import deterministic_map
-
-    if engine == "batch":
-        group_tasks = []
-        for start in range(0, len(processors), group_size):
-            group = processors[start:start + group_size]
-            group_tasks.append((
-                group,
-                strategy,
-                [
-                    derive_seed(seed, "coverage-sweep", p.processor_id)
-                    for p in group
-                ],
-            ))
-        grouped = deterministic_map(
-            _coverage_sweep_group_task,
-            group_tasks,
-            workers=workers,
-            initializer=_coverage_sweep_init,
-            initargs=(library, app_features),
-            retries=retries,
-            timeout_s=timeout_s,
-            health=health,
-            obs=obs,
-        )
-        return [result for group in grouped for result in group]
-    tasks = [
-        (
-            processor,
-            strategy,
-            derive_seed(seed, "coverage-sweep", processor.processor_id),
-        )
-        for processor in processors
-    ]
-    return deterministic_map(
-        _coverage_sweep_task,
-        tasks,
-        workers=workers,
-        initializer=_coverage_sweep_init,
-        initargs=(library, app_features),
-        retries=retries,
-        timeout_s=timeout_s,
-        health=health,
-        obs=obs,
-    )
 
 
 @dataclass

@@ -39,25 +39,10 @@ class ResilienceError(ReproError):
 
 
 class TransientWorkerError(ResilienceError):
-    """A supervised worker task failed in a way that may succeed on
-    retry (worker crash, injected fault, timeout).
+    """A campaign shard failed in a way that may succeed on retry.
 
-    Carries the failing item's position and repr so a multi-hour sweep
-    that ultimately gives up points straight at the offending input.
-    """
-
-    def __init__(
-        self,
-        message: str,
-        *,
-        item_index: int | None = None,
-        item_repr: str | None = None,
-        attempts: int = 1,
-    ):
-        super().__init__(message)
-        self.item_index = item_index
-        self.item_repr = item_repr
-        self.attempts = attempts
+    ``ResilientCampaign`` retries the shard with backoff;
+    ``ChaosInjector`` raises it to drill that path."""
 
 
 class CheckpointError(ResilienceError):

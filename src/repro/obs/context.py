@@ -191,7 +191,7 @@ _HELP = {
     "repro_sleep_seconds_total":
         "Seconds slept in backoff/chaos delays, by reason.",
     "repro_retry_total":
-        "Retries attempted, by scope (shard/item).",
+        "Retries attempted, by scope (shard).",
     "repro_online_steps_total":
         "Online-simulation control steps, by mode (scalar/batch).",
     "repro_online_sdc_total":

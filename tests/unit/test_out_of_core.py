@@ -13,12 +13,6 @@ import numpy as np
 import pytest
 
 from repro.analysis import DetectionFrame
-from repro.analysis.columnar import (
-    RecordFrame,
-    load_record_frame,
-    save_record_frame,
-)
-from repro.analysis.corpus_cache import CorpusCache, corpus_fingerprint
 from repro.colstore import read_columns, write_columns
 from repro.errors import (
     CheckpointCorruptError,
@@ -273,78 +267,3 @@ def test_detection_frame_save_load(tmp_path, study_result):
     loaded = DetectionFrame.load(tmp_path / "detections", verify=True)
     assert loaded.to_result().detections == study_result.detections
     assert loaded.timing_failure_rates() == frame.timing_failure_rates()
-
-
-# -- record-frame spill and cache ----------------------------------------------
-
-
-def _synthetic_record_store(rows=200):
-    from repro.cpu.features import DataType
-    from repro.rng import substream
-    from repro.testing.records import RecordStore, SDCRecord
-
-    rng = substream(17, "out-of-core-records")
-    store = RecordStore()
-    for row in range(rows):
-        expected = int(rng.integers(0, 2**31))
-        store.add(
-            SDCRecord(
-                processor_id=f"CPU{int(rng.integers(4))}",
-                testcase_id=f"tc{int(rng.integers(5))}",
-                pcore_id=0,
-                defect_id="d0",
-                instruction="IMUL_I32",
-                dtype=DataType.INT32,
-                expected_bits=expected,
-                actual_bits=expected ^ (1 << int(rng.integers(31))),
-                temperature_c=80.0,
-                time_s=float(row),
-            )
-        )
-    return store
-
-
-def test_record_frame_spill_roundtrip(tmp_path):
-    store = _synthetic_record_store()
-    frame = RecordFrame.from_store(store)
-    save_record_frame(frame, tmp_path / "frame")
-    loaded = load_record_frame(tmp_path / "frame", verify=True)
-    assert loaded.settings == frame.settings
-    assert loaded.processors == frame.processors
-    assert loaded.testcases == frame.testcases
-    for name in (
-        "expected_lo", "actual_lo", "mask_lo", "dtype_code",
-        "setting_code", "processor_code", "testcase_code",
-    ):
-        np.testing.assert_array_equal(
-            getattr(loaded, name), getattr(frame, name)
-        )
-
-
-def test_corpus_cache_frame_for_hits_disk(tmp_path):
-    cache = CorpusCache(tmp_path)
-    builds = []
-
-    def builder():
-        builds.append(1)
-        return _synthetic_record_store()
-
-    first = cache.frame_for("k1", builder)
-    assert cache.last_hit is False
-    assert builds == [1]
-    again = cache.frame_for("k1", builder)
-    assert cache.last_hit is True
-    assert builds == [1], "hit must not rebuild the corpus"
-    np.testing.assert_array_equal(again.mask_lo, first.mask_lo)
-    assert again.settings == first.settings
-
-
-def test_corpus_cache_fingerprint_is_memoized(tmp_path, catalog, library):
-    cache = CorpusCache(tmp_path)
-    key = cache.fingerprint(catalog, library, temperature_c=78.0)
-    assert key == corpus_fingerprint(catalog, library, temperature_c=78.0)
-    assert cache.fingerprint(catalog, library, temperature_c=78.0) == key
-    assert len(cache._fingerprints) == 1
-    # Different parameters re-key.
-    other = cache.fingerprint(catalog, library, temperature_c=90.0)
-    assert other != key

@@ -18,7 +18,6 @@ from repro.core import (
     Farron,
     coverage_experiment,
     coverage_experiment_group,
-    coverage_sweep,
 )
 from repro.cpu import ARCHITECTURES, catalog_processor
 from repro.errors import ConfigurationError
@@ -320,26 +319,6 @@ class TestCoverageGroup:
                 processor, library, strategy, seed=seed
             )
             assert dataclasses.asdict(result) == dataclasses.asdict(scalar)
-
-    def test_sweep_engines_agree(self, library):
-        processors = [catalog_processor("MIX1"), catalog_processor("COMP9")]
-        scalar = coverage_sweep(
-            processors, library, "baseline", seed=2, workers=1
-        )
-        batched = coverage_sweep(
-            processors, library, "baseline", seed=2, workers=1,
-            engine="batch", group_size=2,
-        )
-        assert [dataclasses.asdict(r) for r in scalar] == [
-            dataclasses.asdict(r) for r in batched
-        ]
-
-    def test_sweep_rejects_unknown_engine(self, library):
-        with pytest.raises(ConfigurationError):
-            coverage_sweep(
-                [catalog_processor("MIX1")], library, "baseline",
-                engine="warp",
-            )
 
 
 class TestManyWrappers:

@@ -6,6 +6,11 @@ every detection (processor, stage, day, failing testcases) and the
 undetected list come out identical under the same seed.
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -21,9 +26,8 @@ from repro.perf.exact_rng import (
     derive_seed_batch,
     pcg64_state_words,
 )
-from repro.perf import parallel as perf_parallel
-from repro.perf.parallel import default_workers, deterministic_map
-from repro.rng import derive_seed, substream
+import repro.perf as perf
+from repro.rng import derive_seed
 from repro.testing import build_library
 
 
@@ -139,32 +143,6 @@ def test_campaign_parity_across_pipeline_seeds():
         assert scalar.undetected_ids == vectorized.undetected_ids
 
 
-# ---------------------------------------------------------------------------
-# deterministic parallel map
-# ---------------------------------------------------------------------------
-
-
-def _draw_task(task):
-    index, seed = task
-    rng = substream(seed, "pmap", str(index))
-    return (index, float(rng.uniform(0.0, 1.0)), float(rng.normal(0.0, 2.0)))
-
-
-def test_parallel_map_deterministic_across_worker_counts():
-    tasks = [(i, 123) for i in range(24)]
-    serial = deterministic_map(_draw_task, tasks, workers=1)
-    for workers in (2, 4):
-        parallel = deterministic_map(_draw_task, tasks, workers=workers)
-        assert parallel == serial
-    # Results come back in task order.
-    assert [r[0] for r in serial] == list(range(24))
-
-
-def test_default_workers_bounds():
-    assert default_workers(0) == 1
-    assert 1 <= default_workers(4) <= 4
-
-
 def test_vector_pcg64_advance_matches_numpy():
     seeds = np.array([0, 1, 2**31, 2**63 - 1, 1234567891011], dtype=np.uint64)
     for delta in (1, 2, 1023, 2**40 + 17, 2**100 + 3):
@@ -193,14 +171,32 @@ def test_vector_pcg64_advance_per_lane_deltas():
 
 def test_default_workers_respects_scheduler_affinity(monkeypatch):
     monkeypatch.setattr(
-        perf_parallel.os, "sched_getaffinity", lambda pid: {0, 2, 5},
-        raising=False,
+        perf.os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False,
     )
-    assert perf_parallel.default_workers() == 3
-    assert perf_parallel.default_workers(2) == 2  # capped by task count
+    assert perf.effective_cores() == 3
 
 
 def test_default_workers_falls_back_to_cpu_count(monkeypatch):
-    monkeypatch.delattr(perf_parallel.os, "sched_getaffinity", raising=False)
-    monkeypatch.setattr(perf_parallel.os, "cpu_count", lambda: 6)
-    assert perf_parallel.default_workers() == 6
+    monkeypatch.delattr(perf.os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(perf.os, "cpu_count", lambda: 6)
+    assert perf.effective_cores() == 6
+
+
+def test_import_loads_no_process_pool():
+    """Independent per-CPU work runs in-process: importing the package
+    must not pull in the process-pool machinery."""
+    src = str(Path(__file__).resolve().parents[2] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, (src, env.get("PYTHONPATH")))
+    )
+    probe = (
+        "import sys, repro; print(sorted(m for m in "
+        "('multiprocessing', 'concurrent.futures.process') "
+        "if m in sys.modules))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", probe],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    assert result.stdout.strip() == "[]"
